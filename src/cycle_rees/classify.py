@@ -20,14 +20,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, buchberger, ideal_membership, normal_form
+from .groebner import Budget, BudgetExceeded, Ideal, buchberger, ideal_equal, ideal_membership, normal_form
 from .linalg import matrix_rank, sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal, poly_mul_z
 from .orders import OrderSpec, product_order
-from .rees import PathIdealSpec, fiber_ideal, rees_ideal, sym_relations
-from .rings import Polynomial, RingSpec
+from .rees import PathIdealSpec, _binomial, _mono, fiber_ideal, rees_ideal, sym_relations
+from .rings import InvariantError, Polynomial, RingSpec
 
 
 def fiber_dimension(n: int, t: int) -> int:
@@ -82,67 +83,52 @@ def _extend_ideal(base: Ideal, extra: Ideal, ring: RingSpec) -> Ideal:
 
 def is_linear_type(n: int, t: int, budget: Budget | None = None) -> bool:
     """Whether the Rees ideal equals the symmetric-algebra relations."""
-    spec = PathIdealSpec(n, t)
-    L = sym_relations(spec)
-    J = rees_ideal(spec, budget)
-    return _ideals_equal(L, J, budget)
+    return _verdict(PathIdealSpec(n, t), budget, {})[0] == "linear"
 
 
 def is_fiber_type(n: int, t: int, budget: Budget | None = None) -> bool:
-    """Whether the Rees ideal equals L + H T."""
-    spec = PathIdealSpec(n, t)
+    """Whether the Rees ideal equals L + H T (linear type included)."""
+    return _verdict(PathIdealSpec(n, t), budget, {})[0] in ("linear", "fiber")
+
+
+def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -> tuple[str, str | None]:
+    """The cell's class and neither-witness, timing each stage into ``ms``.
+
+    Raises BudgetExceeded when the budget runs out.
+    """
+    t0 = time.perf_counter()
     L = sym_relations(spec)
+    order = product_order(L.ring)
+    L.groebner_basis(order, budget)
+    t1 = time.perf_counter()
+    ms["sym"] = (t1 - t0) * 1000
     J = rees_ideal(spec, budget)
+    t2 = time.perf_counter()
+    ms["rees"] = (t2 - t1) * 1000
+    if ideal_equal(L, J, order, budget):
+        ms["fiber"] = 0.0
+        return "linear", None
     H = fiber_ideal(spec, budget, rees=J)
+    ms["fiber"] = (time.perf_counter() - t2) * 1000
+    if H.is_zero_ideal():
+        # H = 0 makes fiber type equivalent to linear type, already false
+        return "neither", _neither_witness(J, L, budget)
     LH = _extend_ideal(L, H, J.ring)
-    return _ideals_equal(LH, J, budget)
-
-
-def _ideals_equal(first: Ideal, second: Ideal, budget: Budget | None) -> bool:
-    order = product_order(first.ring)
-    return all(ideal_membership(g, second, order, budget) for g in first.generators) and all(
-        ideal_membership(g, first, order, budget) for g in second.generators
-    )
+    if ideal_equal(LH, J, order, budget):
+        return "fiber", None
+    return "neither", _neither_witness(J, LH, budget)
 
 
 def classify(n: int, t: int, budget_secs: float | None = None) -> ClassRecord:
     """Full classification of one cell, with per-stage timings in ms."""
     spec = PathIdealSpec(n, t)
-    d = spec.d
-    record = ClassRecord(n=n, t=t, klass="timeout", gcd=d, fiber_dim=n - d + 1)
+    record = ClassRecord(n=n, t=t, klass="timeout", gcd=spec.d, fiber_dim=n - spec.d + 1)
     budget = Budget(seconds=budget_secs) if budget_secs is not None else None
     try:
-        t0 = time.perf_counter()
-        L = sym_relations(spec)
-        order = product_order(L.ring)
-        L.groebner_basis(order, budget)
-        t1 = time.perf_counter()
-        record.ms["sym"] = (t1 - t0) * 1000
-        J = rees_ideal(spec, budget)
-        t2 = time.perf_counter()
-        record.ms["rees"] = (t2 - t1) * 1000
-        if _ideals_equal(L, J, budget):
-            record.klass = "linear"
-            record.ms["fiber"] = 0.0
-            return record
-        H = fiber_ideal(spec, budget, rees=J)
-        t3 = time.perf_counter()
-        record.ms["fiber"] = (t3 - t2) * 1000
-        if H.is_zero_ideal():
-            # H = 0 makes fiber type equivalent to linear type, already false
-            record.klass = "neither"
-            record.witness = _neither_witness(J, L, budget)
-            return record
-        LH = _extend_ideal(L, H, J.ring)
-        if _ideals_equal(LH, J, budget):
-            record.klass = "fiber"
-        else:
-            record.klass = "neither"
-            record.witness = _neither_witness(J, LH, budget)
-        return record
+        record.klass, record.witness = _verdict(spec, budget, record.ms)
     except BudgetExceeded:
-        record.klass = "timeout"
-        return record
+        pass  # klass stays "timeout": never guessed
+    return record
 
 
 def _neither_witness(J: Ideal, smaller: Ideal, budget: Budget | None) -> str | None:
@@ -152,11 +138,6 @@ def _neither_witness(J: Ideal, smaller: Ideal, budget: Budget | None) -> str | N
         if not ideal_membership(g, smaller, order, budget):
             return g.to_text()
     return None
-
-
-def _classify_cell(args: tuple[int, int, float | None]) -> ClassRecord:
-    n, t, budget_secs = args
-    return classify(n, t, budget_secs)
 
 
 def classification_table(
@@ -172,14 +153,11 @@ def classification_table(
     """
     if not 3 <= n_min <= n_max:
         raise ValueError("need 3 <= n_min <= n_max")
-    cells = [(n, t, budget_secs) for n in range(n_min, n_max + 1) for t in range(1, n)]
+    ns, ts = zip(*[(n, t) for n in range(n_min, n_max + 1) for t in range(1, n)])
     if jobs <= 1:
-        records = [_classify_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_classify_cell, cells, chunksize=1))
-    records.sort(key=lambda r: (r.n, r.t))
-    return records
+        return list(map(classify, ns, ts, repeat(budget_secs)))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(classify, ns, ts, repeat(budget_secs), chunksize=1))
 
 
 GLYPHS = {"linear": "L", "fiber": "F", "neither": "×", "timeout": "T"}
@@ -265,17 +243,9 @@ def artinian_reduction_ideal(n: int) -> tuple[RingSpec, OrderSpec, list[Polynomi
     """
     ring = RingSpec((("X", tuple(f"x{i}" for i in range(1, n))),))
     order = OrderSpec(((("X",), "lex"),))
-
-    def mono(parts: dict[str, int]) -> Polynomial:
-        exps = [0] * ring.nvars
-        for name, e in parts.items():
-            exps[ring.var_index[name]] += e
-        return Polynomial.monomial(ring, tuple(exps))
-
-    gens = [mono({f"x{i}": 2}) - mono({f"x{i+1}": 1, f"x{i+2}": 1}) for i in range(1, n - 2)]
-    gens.append(mono({f"x{n-2}": 2}))
-    gens.append(mono({f"x{n-1}": 2}))
-    gens.append(mono({"x1": 1, "x2": 1}))
+    gens = [_binomial(ring, {f"x{i}": 2}, {f"x{i+1}": 1, f"x{i+2}": 1}) for i in range(1, n - 2)]
+    for parts in ({f"x{n-2}": 2}, {f"x{n-1}": 2}, {"x1": 1, "x2": 1}):
+        gens.append(Polynomial.monomial(ring, _mono(ring, parts)))
     return ring, order, gens
 
 
@@ -295,7 +265,7 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
             i = support[0]
             caps[i] = lead[i] if caps[i] == 0 else min(caps[i], lead[i])
     if any(c == 0 for c in caps):
-        raise ArithmeticError("quotient is not Artinian; construction bug")
+        raise InvariantError("quotient is not Artinian; construction bug")
 
     def divisible(m: tuple[int, ...]) -> bool:
         return any(all(l <= e for l, e in zip(lead, m)) for lead in leads)
@@ -329,35 +299,6 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
             denom = denom * v.denominator // gcd(denom, v.denominator)
         rows.append({c: int(v * denom) for c, v in row.items()})
     return size - sparse_rank(rows)
-
-
-# -- cross-checks from the literature on linear type of cycle path ideals --
-
-
-def known_linear(n: int, t: int) -> bool:
-    """Cases known to be of linear type: t in {1, n-1}, odd n with t in
-    {2, n-2, (n-1)/2}."""
-    if t in (1, n - 1):
-        return True
-    if n % 2 == 1 and t in (2, n - 2, (n - 1) // 2):
-        return True
-    return False
-
-
-def known_not_linear(n: int, t: int) -> bool:
-    """Cases known to fail linear type (items (3)-(6) of the background list)."""
-    if gcd(n, t) > 1:
-        return True
-    half = (n - 1) // 2
-    if half < t <= n - 3:
-        return True
-    if 1 < t <= half:
-        l = pow(t, -1, n)
-        if 1 < l <= half:
-            return True
-        if half < l < n and (n - l) >= 1 and n % (n - l) >= 2:
-            return True
-    return False
 
 
 def conjecture_fiber_iff_divides(records: list[ClassRecord]) -> list[tuple[int, int, bool]]:

@@ -39,6 +39,7 @@ from .rees import (
     rees_ideal,
     sym_relations,
 )
+from .rings import InvariantError
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -46,16 +47,23 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget() -> float:
-    env = os.environ.get("CYCLE_REES_BUDGET_SECS")
-    if env:
-        try:
-            value = float(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return 60.0
+BUDGET_ENV = "CYCLE_REES_BUDGET_SECS"
+
+
+def _budget_secs(args: argparse.Namespace) -> float:
+    """Seconds per computation: --budget-secs, else $CYCLE_REES_BUDGET_SECS, else 60."""
+    if args.budget_secs is not None:
+        return args.budget_secs
+    env = os.environ.get(BUDGET_ENV)
+    if not env:
+        return 60.0
+    try:
+        value = float(env)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"{BUDGET_ENV} must be a positive number of seconds, got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(args: argparse.Namespace) -> Budget:
-    secs = getattr(args, "budget_secs", None)
-    return Budget(seconds=secs if secs is not None else _default_budget())
-
-
 def _emit_records(records: list[ClassRecord], fmt: str, timings: bool, out) -> None:
     if fmt == "text":
         out.write(render_table(records))
@@ -137,8 +140,7 @@ def _emit_records(records: list[ClassRecord], fmt: str, timings: bool, out) -> N
 
 
 def _cmd_classify(args, out) -> int:
-    secs = args.budget_secs if args.budget_secs is not None else _default_budget()
-    record = classify(args.n, args.t, budget_secs=secs)
+    record = classify(args.n, args.t, budget_secs=_budget_secs(args))
     if args.format == "text":
         out.write(record.klass + "\n")
     else:
@@ -147,8 +149,7 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    secs = args.budget_secs if args.budget_secs is not None else _default_budget()
-    records = classification_table(args.n_min, args.n_max, budget_secs=secs, jobs=args.jobs)
+    records = classification_table(args.n_min, args.n_max, budget_secs=_budget_secs(args), jobs=args.jobs)
     _emit_records(records, args.format, args.timings, out)
     return EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
 
@@ -174,7 +175,7 @@ def _cmd_hilbert(args, out) -> int:
     series = hilbert_closed_form_n_minus_2(args.n)
     verified = None
     if args.verify:
-        verified = verify_hilbert(args.n, _budget(args))
+        verified = verify_hilbert(args.n, Budget(seconds=_budget_secs(args)))
     if args.format == "json":
         payload = series.to_json()
         if verified is not None:
@@ -190,7 +191,7 @@ def _cmd_hilbert(args, out) -> int:
 
 
 def _cmd_cm_type(args, out) -> int:
-    value = cm_type_odd(args.n, _budget(args))
+    value = cm_type_odd(args.n, Budget(seconds=_budget_secs(args)))
     if args.format == "json":
         out.write(json.dumps({"cm_type": value, "n": args.n}, sort_keys=True) + "\n")
     else:
@@ -202,7 +203,7 @@ def _cmd_verify_gb(args, out) -> int:
     fam = family_n_minus_2(args.n) if args.family == "n2" else family_half(args.n)
     polys = list(fam.values())
     order = product_order(polys[0].ring)
-    ok, cert = is_groebner_basis(polys, order, _budget(args))
+    ok, cert = is_groebner_basis(polys, order, Budget(seconds=_budget_secs(args)))
     ini = MonomialIdeal.from_exponents(
         polys[0].ring,
         [max(g.monomials(), key=order.key_function(polys[0].ring)) for g in polys],
@@ -242,7 +243,7 @@ def _cmd_pfaffian(args, out) -> int:
 
 def _cmd_ideal(args, out) -> int:
     spec = PathIdealSpec(args.n, args.t)
-    budget = _budget(args)
+    budget = Budget(seconds=_budget_secs(args))
     if args.which == "path":
         ideal = path_ideal(spec)
     elif args.which == "sym":
@@ -303,10 +304,10 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except BudgetExceeded:
         out.write("budget exceeded\n")
         return EXIT_BUDGET
-    except UsageError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as exc:
+        return EXIT_ASSERTION
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -364,9 +364,6 @@ class Ideal:
             self._gb_cache[order] = cached
         return cached
 
-    def cached_orders(self) -> tuple[OrderSpec, ...]:
-        return tuple(self._gb_cache)
-
 
 def ideal_membership(
     f: Polynomial,

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .groebner import Budget, Ideal
 from .orders import OrderSpec, canonical_order
-from .rings import Exponents, Polynomial, RingError, RingSpec, mono_divides
+from .rings import Exponents, RingError, RingSpec, mono_divides
 
 
 def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
@@ -49,9 +49,6 @@ class MonomialIdeal:
 
     def contains_one(self) -> bool:
         return any(not any(g) for g in self.gens)
-
-    def monomial_polys(self) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial.monomial(self.ring, g) for g in self.gens)
 
     def contains(self, exps: Exponents) -> bool:
         return any(mono_divides(g, exps) for g in self.gens)
@@ -186,17 +183,6 @@ def pivot_most_frequent(gens: tuple[Exponents, ...]) -> int:
     return max(sorted(candidates), key=lambda i: counts[i])
 
 
-def pivot_least_frequent(gens: tuple[Exponents, ...]) -> int:
-    """Alternative deterministic strategy used for cross-checking."""
-    nvars = len(gens[0])
-    candidates = set()
-    for g in gens:
-        if sum(1 for e in g if e) > 1:
-            candidates.update(i for i, e in enumerate(g) if e)
-    counts = [sum(1 for g in gens if g[i]) for i in range(nvars)]
-    return min(sorted(candidates), key=lambda i: counts[i])
-
-
 def _numerator(gens: tuple[Exponents, ...], nvars: int, pivot: PivotChooser, memo: dict) -> list[int]:
     """K-polynomial of T/(gens): HS = K / (1-z)^nvars."""
     if not gens:
@@ -229,23 +215,3 @@ def hilbert_numerator(ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_fre
     nvars = ideal.ring.nvars
     num = _numerator(ideal.gens, nvars, pivot, {})
     return HilbertSeries(tuple(num), nvars).canonical()
-
-
-def hilbert_by_inclusion_exclusion(ideal: MonomialIdeal) -> HilbertSeries:
-    """Independent oracle: alternating sum of z^deg(lcm) over generator subsets.
-
-    Exponential in the number of generators; intended for small cross-checks.
-    """
-    gens = ideal.gens
-    if len(gens) > 16:
-        raise ValueError("inclusion-exclusion oracle limited to 16 generators")
-    num = [0] * (sum(sum(g) for g in gens) + 1)
-    for mask in range(1 << len(gens)):
-        lcm = (0,) * ideal.ring.nvars
-        bits = 0
-        for i in range(len(gens)):
-            if mask >> i & 1:
-                bits += 1
-                lcm = tuple(max(a, b) for a, b in zip(lcm, gens[i]))
-        num[sum(lcm)] += -1 if bits % 2 else 1
-    return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .groebner import Budget, Ideal, eliminate
-from .rings import Exponents, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
+from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,6 @@ def family_half(n: int) -> dict[str, Polynomial]:
     return out
 
 
-def family_ideal(n: int, which: str) -> Ideal:
-    """The ideal generated by one of the named families, in K[y, x]."""
-    fam = family_n_minus_2(n) if which == "n2" else family_half(n)
-    return Ideal(cycle_ring(n), list(fam.values()))
-
-
 class PolyMatrix:
     """Square matrix of polynomials over a common ring."""
 
@@ -247,37 +241,6 @@ class PolyMatrix:
                     return False
         return True
 
-    def minor(self, remove: tuple[int, ...]) -> "PolyMatrix":
-        keep = [i for i in range(self.size) if i not in remove]
-        return PolyMatrix(self.ring, [[self.rows[i][j] for j in keep] for i in keep])
-
-    def determinant(self) -> Polynomial:
-        """Exact determinant by cofactor expansion, memoized on row subsets.
-
-        Columns are consumed left to right, so the active column is always
-        determined by how many rows remain; the row subset alone keys the
-        minor.
-        """
-        memo: dict[tuple[int, ...], Polynomial] = {}
-
-        def det(rows: tuple[int, ...]) -> Polynomial:
-            if not rows:
-                return Polynomial.one(self.ring)
-            if rows in memo:
-                return memo[rows]
-            col = self.size - len(rows)
-            total = Polynomial.zero(self.ring)
-            for pos, row in enumerate(rows):
-                entry = self.rows[row][col]
-                if entry.is_zero():
-                    continue
-                term = entry * det(rows[:pos] + rows[pos + 1 :])
-                total = total + term if pos % 2 == 0 else total - term
-            memo[rows] = total
-            return total
-
-        return det(tuple(range(self.size)))
-
 
 def jacobian_dual(n: int) -> PolyMatrix:
     """Skew relation matrix A with f = A x for the path length n-2 family.
@@ -299,7 +262,7 @@ def jacobian_dual(n: int) -> PolyMatrix:
         rows[r - 1][col_minus] = -Polynomial.variable(ring, _yname(n, j + 1))
     matrix = PolyMatrix(ring, rows)
     if not matrix.is_skew_symmetric():
-        raise RingError("relation matrix is not skew-symmetric; indexing bug")
+        raise InvariantError("relation matrix is not skew-symmetric; indexing bug")
     return matrix
 
 
@@ -345,4 +308,4 @@ def pfaffian_fiber_sign(n: int) -> tuple[int, Polynomial]:
         return 1, pf
     if pf == -h:
         return -1, pf
-    raise RingError("Pfaffian does not match the fiber relation up to sign")
+    raise InvariantError("Pfaffian does not match the fiber relation up to sign")

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -20,6 +21,10 @@ Exponents = tuple[int, ...]
 
 class RingError(ValueError):
     """Raised on ring/variable mismatches."""
+
+
+class InvariantError(Exception):
+    """An internal consistency check failed: a bug, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -138,18 +143,6 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Exponents) -> int:
-    return sum(a)
-
-
-def mono_coprime(a: Exponents, b: Exponents) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -199,8 +192,9 @@ class Polynomial:
     # -- mapping access --
 
     @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only view of the term dict, without a copy."""
+        return MappingProxyType(self._terms)
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self._terms.items())
@@ -208,18 +202,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def coefficient(self, exps: Exponents) -> Fraction:
         return self._terms.get(exps, Fraction(0))
 
     def monomials(self) -> list[Exponents]:
         return list(self._terms)
-
-    def total_degree(self) -> int:
-        """Max total degree over terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=0)
 
     def block_degrees(self, block: str) -> set[int]:
         """Set of per-term degrees in the given block (bihomogeneity probe)."""
@@ -282,12 +269,6 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
-
-    def term_mul(self, exps: Exponents, coeff: Fraction = Fraction(1)) -> "Polynomial":
-        """Multiply by a single term coeff * x^exps."""
-        if coeff == 0:
-            return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {mono_mul(e, exps): c * coeff for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):

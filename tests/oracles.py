@@ -1,0 +1,107 @@
+"""Independent reference computations the tests compare the library against.
+
+None of these is on a library code path: each is a slower or differently
+organised route to an answer the library computes another way.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
+from cycle_rees.rees import PolyMatrix
+from cycle_rees.rings import Exponents, Polynomial
+
+
+# -- Hilbert series: a second pivot rule and inclusion-exclusion --
+
+
+def pivot_least_frequent(gens: tuple[Exponents, ...]) -> int:
+    """Alternative deterministic strategy used for cross-checking."""
+    nvars = len(gens[0])
+    candidates = set()
+    for g in gens:
+        if sum(1 for e in g if e) > 1:
+            candidates.update(i for i, e in enumerate(g) if e)
+    counts = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+    return min(sorted(candidates), key=lambda i: counts[i])
+
+
+def hilbert_by_inclusion_exclusion(ideal: MonomialIdeal) -> HilbertSeries:
+    """Independent oracle: alternating sum of z^deg(lcm) over generator subsets.
+
+    Exponential in the number of generators; intended for small cross-checks.
+    """
+    gens = ideal.gens
+    if len(gens) > 16:
+        raise ValueError("inclusion-exclusion oracle limited to 16 generators")
+    num = [0] * (sum(sum(g) for g in gens) + 1)
+    for mask in range(1 << len(gens)):
+        lcm = (0,) * ideal.ring.nvars
+        bits = 0
+        for i in range(len(gens)):
+            if mask >> i & 1:
+                bits += 1
+                lcm = tuple(max(a, b) for a, b in zip(lcm, gens[i]))
+        num[sum(lcm)] += -1 if bits % 2 else 1
+    return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()
+
+
+# -- determinant, for Pf(A)^2 = det(A) --
+
+
+def determinant(matrix: PolyMatrix) -> Polynomial:
+    """Exact determinant by cofactor expansion, memoized on row subsets.
+
+    Columns are consumed left to right, so the active column is always
+    determined by how many rows remain; the row subset alone keys the
+    minor.
+    """
+    memo: dict[tuple[int, ...], Polynomial] = {}
+
+    def det(rows: tuple[int, ...]) -> Polynomial:
+        if not rows:
+            return Polynomial.one(matrix.ring)
+        if rows in memo:
+            return memo[rows]
+        col = matrix.size - len(rows)
+        total = Polynomial.zero(matrix.ring)
+        for pos, row in enumerate(rows):
+            entry = matrix.rows[row][col]
+            if entry.is_zero():
+                continue
+            term = entry * det(rows[:pos] + rows[pos + 1 :])
+            total = total + term if pos % 2 == 0 else total - term
+        memo[rows] = total
+        return total
+
+    return det(tuple(range(matrix.size)))
+
+
+# -- cases of linear type known from the literature on cycle path ideals --
+
+
+def known_linear(n: int, t: int) -> bool:
+    """Cases known to be of linear type: t in {1, n-1}, odd n with t in
+    {2, n-2, (n-1)/2}."""
+    if t in (1, n - 1):
+        return True
+    if n % 2 == 1 and t in (2, n - 2, (n - 1) // 2):
+        return True
+    return False
+
+
+def known_not_linear(n: int, t: int) -> bool:
+    """Cases known to fail linear type (items (3)-(6) of the background list)."""
+    if gcd(n, t) > 1:
+        return True
+    half = (n - 1) // 2
+    if half < t <= n - 3:
+        return True
+    if 1 < t <= half:
+        l = pow(t, -1, n)
+        if 1 < l <= half:
+            return True
+        if half < l < n and (n - l) >= 1 and n % (n - l) >= 2:
+            return True
+    return False

@@ -18,12 +18,13 @@ from cycle_rees.classify import (
     hilbert_closed_form_n_minus_2,
     is_fiber_type,
     is_linear_type,
-    known_linear,
-    known_not_linear,
     render_table,
     verify_hilbert,
 )
+from cycle_rees.groebner import Budget, BudgetExceeded
 from cycle_rees.monomial_ideals import HilbertSeries
+
+from oracles import known_linear, known_not_linear
 
 GLYPH = {"linear": "L", "fiber": "F", "neither": "x", "timeout": "T"}
 
@@ -75,10 +76,16 @@ def test_classify_rows_match_known_grid():
     # linear implies fiber type, and the fiber dimension formula holds
     for r in records:
         assert r.fiber_dim == r.n - r.gcd + 1
-        if r.klass == "linear":
-            assert is_fiber_type(r.n, r.t)
+        # the predicates answer through the same verdict as classify
+        if r.n <= 7:
+            assert is_linear_type(r.n, r.t) == (r.klass == "linear"), (r.n, r.t)
+        if r.n <= 7 or r.klass == "linear":
+            assert is_fiber_type(r.n, r.t) == (r.klass in ("linear", "fiber")), (r.n, r.t)
         if r.klass == "neither":
             assert r.witness
+    # out of budget is an exception, never a False
+    with pytest.raises(BudgetExceeded):
+        is_linear_type(9, 5, Budget(max_steps=1))
 
 
 def test_classify_single_cell():

@@ -6,6 +6,7 @@ import io
 import json
 
 from cycle_rees.cli import run
+from cycle_rees.rings import Polynomial
 
 
 def invoke(*argv: str) -> tuple[int, str]:
@@ -112,3 +113,24 @@ def test_json_and_csv_deterministic():
     assert code3 == 0
     assert out3.splitlines()[0] == "n,t,class,gcd,fiber_dim"
     assert "4,2,fiber,2,3" in out3
+
+
+def test_invariant_failure_exits_1(monkeypatch, capsys):
+    import cycle_rees.rees as rees
+
+    monkeypatch.setattr(rees, "pfaffian", lambda matrix: Polynomial.one(matrix.ring))
+    code, _ = invoke("pfaffian", "--n", "6")
+    assert code == 1
+    assert "Pfaffian does not match" in capsys.readouterr().err
+
+
+def test_budget_env_var(monkeypatch, capsys):
+    for bad in ("abc", "0", "-1"):
+        monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", bad)
+        code, _ = invoke("cm-type", "--n", "5")
+        assert code == 2, bad
+        assert "CYCLE_REES_BUDGET_SECS" in capsys.readouterr().err
+    for good in ("", "30"):
+        monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", good)
+        code, out = invoke("cm-type", "--n", "5")
+        assert code == 0 and out.strip() == "2", good

@@ -8,17 +8,17 @@ from cycle_rees.monomial_ideals import (
     HilbertSeries,
     MonomialIdeal,
     colon_mono,
-    hilbert_by_inclusion_exclusion,
     hilbert_numerator,
     initial_ideal,
     is_squarefree,
-    pivot_least_frequent,
     pivot_most_frequent,
     sum_mono,
     x_condition,
 )
 from cycle_rees.orders import OrderSpec, product_order
 from cycle_rees.rings import RingSpec, cycle_ring, mono_divides, parse_polynomial
+
+from oracles import hilbert_by_inclusion_exclusion, pivot_least_frequent
 
 
 def monos(ring, *texts):

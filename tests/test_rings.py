@@ -102,6 +102,8 @@ def test_normalization_idempotent(p):
     again = Polynomial(R6, p.terms)
     assert again == p
     assert all(c != 0 for c in again.terms.values())
+    with pytest.raises(TypeError):
+        again.terms[R6.one_exps()] = 1
 
 
 @given(polys6)
