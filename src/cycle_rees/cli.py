@@ -53,7 +53,9 @@ BUDGET_ENV = "CYCLE_REES_BUDGET_SECS"
 def _budget_secs(args: argparse.Namespace) -> float:
     """Seconds per computation: --budget-secs, else $CYCLE_REES_BUDGET_SECS, else 60."""
     if args.budget_secs is not None:
-        return args.budget_secs
+        if args.budget_secs > 0:
+            return args.budget_secs
+        raise UsageError(f"--budget-secs must be a positive number of seconds, got {args.budget_secs!r}")
     env = os.environ.get(BUDGET_ENV)
     if not env:
         return 60.0

@@ -181,30 +181,30 @@ def _gm_update(
     engine: _Engine,
     basis: list[Terms],
     lms: list[Exponents],
-    alive: set[tuple[int, int]],
+    alive: dict[tuple[int, int], Exponents],
     heap: list[tuple[int, int, int, int]],
     counter: list[int],
     new_terms: Terms,
 ) -> None:
-    """Add a polynomial to the basis, updating pairs per Gebauer-Moeller."""
+    """Add a polynomial to the basis, updating pairs per Gebauer-Moeller.
+
+    ``alive`` maps each live pair to its lcm, so the chain criterion reads it
+    instead of recomputing it; the newcomer's lcms are computed once.
+    """
     t = len(basis)
     lmf = engine.leading(new_terms)
     key = engine.key
+    new_lcms = [mono_lcm(lm, lmf) for lm in lms]
 
     # chain criterion: drop old pairs strictly dominated by the newcomer
-    for (i, j) in list(alive):
-        lcm_ij = mono_lcm(lms[i], lms[j])
-        if (
-            mono_divides(lmf, lcm_ij)
-            and lcm_ij != mono_lcm(lms[i], lmf)
-            and lcm_ij != mono_lcm(lms[j], lmf)
-        ):
-            alive.discard((i, j))
+    for (i, j), lcm_ij in list(alive.items()):
+        if mono_divides(lmf, lcm_ij) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
+            del alive[i, j]
 
     # group candidate pairs by lcm, keep only divisibility-minimal lcms
     lcm_groups: dict[Exponents, list[int]] = {}
-    for i in range(t):
-        lcm_groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
+    for i, lcm in enumerate(new_lcms):
+        lcm_groups.setdefault(lcm, []).append(i)
     minimal: list[Exponents] = []
     for lcm in sorted(lcm_groups, key=key):
         if all(not mono_divides(prev, lcm) for prev in minimal):
@@ -217,7 +217,7 @@ def _gm_update(
             continue
         i = min(group)
         counter[0] += 1
-        alive.add((i, t))
+        alive[i, t] = lcm
         heapq.heappush(heap, (sum(lcm), counter[0], i, t))
 
     basis.append(new_terms)
@@ -242,7 +242,7 @@ def buchberger(
 
     basis: list[Terms] = []
     lms: list[Exponents] = []
-    alive: set[tuple[int, int]] = set()
+    alive: dict[tuple[int, int], Exponents] = {}
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
@@ -253,9 +253,8 @@ def buchberger(
     while heap:
         entry = heapq.heappop(heap)
         pair = (entry[2], entry[3])
-        if pair not in alive:
+        if alive.pop(pair, None) is None:
             continue
-        alive.discard(pair)
         engine.budget.tick()
         i, j = pair
         s = engine.s_poly(basis[i], lms[i], basis[j], lms[j])
@@ -279,11 +278,10 @@ def _reduce_basis(engine: _Engine, basis: list[Terms], lms: list[Exponents]) -> 
     for i in order_idx:
         if all(not mono_divides(lms[j], lms[i]) for j in minimal):
             minimal.append(i)
+    all_reducers = _as_reducers(engine, [basis[i] for i in minimal])
     reduced: list[Terms] = []
     for pos, i in enumerate(minimal):
-        others = [basis[j] for j in minimal[:pos]] + [basis[j] for j in minimal[pos + 1 :]]
-        reducers = _as_reducers(engine, others)
-        r = engine.reduce_full(basis[i], reducers)
+        r = engine.reduce_full(basis[i], all_reducers[:pos] + all_reducers[pos + 1 :])
         reduced.append(engine.make_monic(r))
     reduced.sort(key=lambda terms: key(engine.leading(terms)))
     return tuple(Polynomial(engine.ring, terms) for terms in reduced)

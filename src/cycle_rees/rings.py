@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, le, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -127,20 +128,20 @@ def y_ring(n: int) -> RingSpec:
 # -- monomial helpers (monomials are plain exponent tuples) --
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     """a / b, assuming divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Polynomial:

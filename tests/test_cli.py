@@ -134,3 +134,13 @@ def test_budget_env_var(monkeypatch, capsys):
         monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", good)
         code, out = invoke("cm-type", "--n", "5")
         assert code == 0 and out.strip() == "2", good
+
+
+def test_budget_secs_flag_must_be_positive(capsys):
+    for bad in ("0", "-1", "nan"):
+        for argv in (("classify", "--n", "5", "--t", "2"), ("cm-type", "--n", "5")):
+            code, out = invoke(*argv, "--budget-secs", bad)
+            assert code == 2 and out == "", (argv, bad)
+            assert "--budget-secs" in capsys.readouterr().err
+    code, out = invoke("classify", "--n", "5", "--t", "2", "--budget-secs", "30")
+    assert code == 0 and out.strip() == "linear"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from cycle_rees.groebner import (
     normal_form,
 )
 from cycle_rees.orders import product_order
-from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal
+from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal
 from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, parse_polynomial
 
 
@@ -148,6 +149,16 @@ def test_budget_exceeded_is_distinct():
     G = graph_ideal(PathIdealSpec(8, 6))
     with pytest.raises(BudgetExceeded):
         G.groebner_basis(budget=Budget(max_steps=5))
+
+
+def test_time_budget_is_honoured_by_a_long_elimination():
+    # (10, 9) builds an intermediate basis of several hundred elements, so a
+    # 0.3 s budget runs out inside the pair update and interreduction loops,
+    # which do not tick themselves; the overshoot must stay small
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        rees_ideal(PathIdealSpec(10, 9), Budget(seconds=0.3))
+    assert time.monotonic() - start < 0.3 + 1.0
 
 
 def test_rees_basis_is_bihomogeneous(rees_cache):
