@@ -21,11 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import comb, gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, buchberger, ideal_equal, ideal_membership, normal_form
+from .groebner import Budget, BudgetExceeded, Ideal, ideal_equal, ideal_membership, normal_form
 from .linalg import matrix_rank, sparse_rank
-from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal, poly_mul_z
+from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import OrderSpec, product_order
 from .rees import PathIdealSpec, _binomial, _mono, fiber_ideal, rees_ideal, sym_relations
 from .rings import InvariantError, Polynomial, RingSpec
@@ -122,7 +122,7 @@ def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -
 def classify(n: int, t: int, budget_secs: float | None = None) -> ClassRecord:
     """Full classification of one cell, with per-stage timings in ms."""
     spec = PathIdealSpec(n, t)
-    record = ClassRecord(n=n, t=t, klass="timeout", gcd=spec.d, fiber_dim=n - spec.d + 1)
+    record = ClassRecord(n=n, t=t, klass="timeout", gcd=spec.d, fiber_dim=fiber_dimension(n, t))
     budget = Budget(seconds=budget_secs) if budget_secs is not None else None
     try:
         record.klass, record.witness = _verdict(spec, budget, record.ms)
@@ -156,7 +156,7 @@ def classification_table(
     ns, ts = zip(*[(n, t) for n in range(n_min, n_max + 1) for t in range(1, n)])
     if jobs <= 1:
         return list(map(classify, ns, ts, repeat(budget_secs)))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
         return list(pool.map(classify, ns, ts, repeat(budget_secs), chunksize=1))
 
 
@@ -185,13 +185,6 @@ def render_table(records: list[ClassRecord]) -> str:
 # -- closed-form Hilbert series and its verification --
 
 
-def _binomial_power(k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = [a + b for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
 def hilbert_closed_form_n_minus_2(n: int) -> HilbertSeries:
     """Hilbert series of the Rees algebra at path length n-2, expanded.
 
@@ -201,17 +194,12 @@ def hilbert_closed_form_n_minus_2(n: int) -> HilbertSeries:
     if n < 3:
         raise ValueError("need n >= 3")
     s = n // 2
-    num = [0]
+    num = [0] * (2 * s + 1)
     for k in range(s):
-        power = 2 * k + 1 if n % 2 else 2 * k
-        term = poly_mul_z(_binomial_power(power), [0] * (s - 1 - k) + [1])
-        num = [a + b for a, b in zip(num + [0] * len(term), term + [0] * len(num))]
-    if n % 2:
-        while len(num) <= s:
-            num.append(0)
-        num[s] += 1
-    while num and num[-1] == 0:
-        num.pop()
+        power = 2 * k + n % 2
+        for j in range(power + 1):
+            num[s - 1 - k + j] += comb(power, j)
+    num[s] += n % 2
     return HilbertSeries(tuple(num), n + 1).canonical()
 
 
@@ -254,40 +242,27 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
     ring, order, gens = artinian_reduction_ideal(n)
-    gb = buchberger(gens, order, budget)
-    key = order.key_function(ring)
-    leads = [max(g.monomials(), key=key) for g in gb]
-
-    caps = [0] * ring.nvars
-    for lead in leads:
-        support = [i for i, e in enumerate(lead) if e]
-        if len(support) == 1:
-            i = support[0]
-            caps[i] = lead[i] if caps[i] == 0 else min(caps[i], lead[i])
-    if any(c == 0 for c in caps):
+    ideal = Ideal(ring, gens)
+    gb = ideal.groebner_basis(order, budget)
+    K = initial_ideal(ideal, order, budget)
+    pure_powers = {i for g in K.gens for i, e in enumerate(g) if e and sum(g) == e}
+    if len(pure_powers) < ring.nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
 
-    def divisible(m: tuple[int, ...]) -> bool:
-        return any(all(l <= e for l, e in zip(lead, m)) for lead in leads)
-
-    standard: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [(0,) * ring.nvars]
-    seen = {stack[0]}
-    while stack:
-        m = stack.pop()
-        standard.append(m)
+    one = ring.one_exps()
+    standard = [one]
+    seen = {one}
+    for m in standard:
         for i in range(ring.nvars):
-            if m[i] + 1 < caps[i]:
-                nxt = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                if nxt not in seen and not divisible(nxt):
-                    seen.add(nxt)
-                    stack.append(nxt)
-    standard.sort(key=lambda m: (sum(m), m))
+            nxt = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            if nxt not in seen and not K.contains(nxt):
+                seen.add(nxt)
+                standard.append(nxt)
     index = {m: c for c, m in enumerate(standard)}
     size = len(standard)
 
     rows = []
-    for col, b in enumerate(standard):
+    for b in standard:
         row: dict[int, Fraction] = {}
         for i in range(ring.nvars):
             shifted = b[:i] + (b[i] + 1,) + b[i + 1 :]

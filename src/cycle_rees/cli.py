@@ -28,7 +28,7 @@ from .classify import (
 )
 from .groebner import Budget, BudgetExceeded, gb_certificate, is_groebner_basis
 from .monomial_ideals import MonomialIdeal, is_squarefree, x_condition
-from .orders import product_order
+from .orders import leading_term, product_order
 from .rees import (
     PathIdealSpec,
     family_half,
@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_common(p: argparse.ArgumentParser, budget: bool = True, formats: tuple[str, ...] = ("text", "json")) -> None:
+        p.add_argument("--format", choices=formats, default="text")
         if budget:
             p.add_argument("--budget-secs", type=float, default=None, help="per-computation budget (default 60 or $CYCLE_REES_BUDGET_SECS)")
 
@@ -84,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--timings", action="store_true", help="include stage timings in JSON output")
-    add_common(p)
+    add_common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("table", help="classification grid over a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--timings", action="store_true")
-    add_common(p)
+    add_common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("fiber-dim", help="dimension of the fiber cone")
     p.add_argument("--n", type=int, required=True)
@@ -206,10 +206,7 @@ def _cmd_verify_gb(args, out) -> int:
     polys = list(fam.values())
     order = product_order(polys[0].ring)
     ok, cert = is_groebner_basis(polys, order, Budget(seconds=_budget_secs(args)))
-    ini = MonomialIdeal.from_exponents(
-        polys[0].ring,
-        [max(g.monomials(), key=order.key_function(polys[0].ring)) for g in polys],
-    )
+    ini = MonomialIdeal.from_exponents(polys[0].ring, [leading_term(order, g)[0] for g in polys])
     squarefree = is_squarefree(ini)
     xcond = x_condition(ini)
     if args.format == "json":

@@ -264,8 +264,7 @@ def buchberger(
         if r:
             monic = engine.make_monic(r)
             _gm_update(engine, basis, lms, alive, heap, counter, monic)
-            lm = lms[-1]
-            reducers.append((lm, _support_mask(lm), [(e, c) for e, c in monic.items() if e != lm], Fraction(1)))
+            reducers += _as_reducers(engine, [monic])
 
     return _reduce_basis(engine, basis, lms)
 
@@ -278,10 +277,11 @@ def _reduce_basis(engine: _Engine, basis: list[Terms], lms: list[Exponents]) -> 
     for i in order_idx:
         if all(not mono_divides(lms[j], lms[i]) for j in minimal):
             minimal.append(i)
+    # a later element's lead is larger, so it divides no term of element pos
     all_reducers = _as_reducers(engine, [basis[i] for i in minimal])
     reduced: list[Terms] = []
     for pos, i in enumerate(minimal):
-        r = engine.reduce_full(basis[i], all_reducers[:pos] + all_reducers[pos + 1 :])
+        r = engine.reduce_full(basis[i], all_reducers[:pos])
         reduced.append(engine.make_monic(r))
     reduced.sort(key=lambda terms: key(engine.leading(terms)))
     return tuple(Polynomial(engine.ring, terms) for terms in reduced)

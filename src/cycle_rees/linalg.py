@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: fraction-free rank and nullity.
+"""Exact integer linear algebra: fraction-free matrix rank.
 
 Rows are kept sparse (column -> integer) and eliminated by cross
 multiplication, with a gcd normalization after each combination so entries

@@ -12,7 +12,7 @@ reported as an integer numerator over (1-z)^e in lowest terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .groebner import Budget, Ideal
 from .orders import OrderSpec, canonical_order
@@ -73,10 +73,14 @@ def x_condition(ideal: MonomialIdeal) -> bool:
     return all(all(g[i] <= 1 for i in idxs) for g in ideal.gens)
 
 
+def _quotients(gens: Iterable[Exponents], p: Exponents) -> list[Exponents]:
+    """Generators of (gens) : p, each m / gcd(m, p); not minimalized."""
+    return [tuple(max(e - q, 0) for e, q in zip(g, p)) for g in gens]
+
+
 def colon_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
     """M : p, computed generator-wise as m / gcd(m, p)."""
-    quotients = [tuple(max(m - q, 0) for m, q in zip(g, p)) for g in ideal.gens]
-    return MonomialIdeal.from_exponents(ideal.ring, quotients)
+    return MonomialIdeal.from_exponents(ideal.ring, _quotients(ideal.gens, p))
 
 
 def sum_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
@@ -159,15 +163,6 @@ def _poly_shift(a: list[int], k: int) -> list[int]:
     return [0] * k + list(a)
 
 
-def poly_mul_z(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 PivotChooser = Callable[[tuple[Exponents, ...]], int]
 
 
@@ -201,7 +196,7 @@ def _numerator(gens: tuple[Exponents, ...], nvars: int, pivot: PivotChooser, mem
     i = pivot(gens)
     p = tuple(1 if k == i else 0 for k in range(len(gens[0])))
     plus = _minimalize(gens + (p,))
-    colon = _minimalize(tuple(tuple(max(e - q, 0) for e, q in zip(g, p)) for g in gens))
+    colon = _minimalize(_quotients(gens, p))
     result = _poly_add(
         _numerator(plus, nvars, pivot, memo),
         _poly_shift(_numerator(colon, nvars, pivot, memo), 1),

@@ -95,45 +95,28 @@ def leading_term(order: OrderSpec, p) -> tuple[Exponents, "object"]:
     return exps, p.coefficient(exps)
 
 
-def _tail_stages(ring: RingSpec, blocks: tuple[str, ...]) -> tuple[Stage, ...]:
-    """Canonical stage list over the given blocks: Y grevlex, X lex, S last."""
-    stages: list[Stage] = []
-    for b in blocks:
-        if b == "Y":
-            stages.append((("Y",), "grevlex"))
-        elif b == "X":
-            stages.append((("X",), "lex"))
-        else:
-            stages.append(((b,), "lex"))
-    return tuple(stages)
-
-
 def product_order(ring: RingSpec) -> OrderSpec:
     """The product order on a ring with X and Y blocks (no elimination)."""
-    blocks = [b for b in ring.block_names if b in ("Y", "X")]
-    if ring.block_names != tuple(blocks):
+    if set(ring.block_names) - {"Y", "X"}:
         raise RingError("product order needs a ring with exactly the Y and X blocks")
-    return OrderSpec(_tail_stages(ring, tuple(blocks)))
+    return canonical_order(ring)
 
 
 def canonical_order(ring: RingSpec) -> OrderSpec:
     """Default order for a ring: eliminate S if present, then Y, then X."""
-    names = ring.block_names
-    lead = tuple(b for b in names if b == "S")
-    rest = tuple(b for b in names if b != "S")
-    ordered_rest = tuple(sorted(rest, key=lambda b: {"Y": 0, "X": 1}.get(b, 2)))
-    stages: list[Stage] = [((b,), "lex") for b in lead]
-    stages.extend(_tail_stages(ring, ordered_rest))
-    return OrderSpec(tuple(stages))
+    return elimination_order(ring, tuple(b for b in ring.block_names if b == "S"))
 
 
 def elimination_order(ring: RingSpec, drop_blocks: tuple[str, ...]) -> OrderSpec:
-    """Order whose leading stages isolate ``drop_blocks`` for elimination."""
+    """Order whose leading stages isolate ``drop_blocks`` for elimination.
+
+    The dropped blocks lead by grevlex; the kept blocks follow as Y by
+    grevlex, then X by lex, then any other block by lex.
+    """
     for b in drop_blocks:
         if b not in ring.block_names:
             raise RingError(f"no block {b!r} to eliminate")
-    rest = tuple(b for b in ring.block_names if b not in drop_blocks)
-    ordered_rest = tuple(sorted(rest, key=lambda b: {"Y": 0, "X": 1}.get(b, 2)))
-    stages: list[Stage] = [((b,), "grevlex") for b in drop_blocks]
-    stages.extend(_tail_stages(ring, ordered_rest))
+    rest = sorted((b for b in ring.block_names if b not in drop_blocks), key=lambda b: {"Y": 0, "X": 1}.get(b, 2))
+    stages = [((b,), "grevlex") for b in drop_blocks]
+    stages.extend(((b,), "grevlex" if b == "Y" else "lex") for b in rest)
     return OrderSpec(tuple(stages))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .groebner import Budget, Ideal, eliminate
-from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
+from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, mono_div, mono_lcm, mono_mul, x_ring, y_ring
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,7 @@ def _binomial(ring: RingSpec, plus: dict[str, int], minus: dict[str, int]) -> Po
 def path_ideal(spec: PathIdealSpec) -> Ideal:
     """The ideal of all length-t windows of the n-cycle, in the x variables."""
     ring = x_ring(spec.n)
-    seen: set[Exponents] = set()
-    gens: list[Polynomial] = []
-    for j in range(1, spec.n + 1):
-        exps = _window_exps(ring, spec.n, spec.t, j)
-        if exps not in seen:
-            seen.add(exps)
-            gens.append(Polynomial.monomial(ring, exps))
+    gens = [Polynomial.monomial(ring, _window_exps(ring, spec.n, spec.t, j)) for j in range(1, spec.n + 1)]
     return Ideal(ring, gens)
 
 
@@ -89,19 +83,12 @@ def sym_relations(spec: PathIdealSpec) -> Ideal:
     ring = cycle_ring(n)
     windows = {j: _window_exps(ring, n, t, j) for j in range(1, n + 1)}
     gens: list[Polynomial] = []
-    seen: set[Polynomial] = set()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ui, uj = windows[i], windows[j]
-            lcm = tuple(max(a, b) for a, b in zip(ui, uj))
-            left = [a - b for a, b in zip(lcm, ui)]
-            right = [a - b for a, b in zip(lcm, uj)]
-            left[ring.var_index[_yname(n, i)]] += 1
-            right[ring.var_index[_yname(n, j)]] += 1
-            p = Polynomial(ring, {tuple(left): Fraction(1), tuple(right): Fraction(-1)})
-            if p not in seen and not p.is_zero():
-                seen.add(p)
-                gens.append(p)
+            lcm = mono_lcm(windows[i], windows[j])
+            left = mono_mul(mono_div(lcm, windows[i]), _mono(ring, {_yname(n, i): 1}))
+            right = mono_mul(mono_div(lcm, windows[j]), _mono(ring, {_yname(n, j): 1}))
+            gens.append(Polynomial(ring, {left: Fraction(1), right: Fraction(-1)}))
     return Ideal(ring, gens)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from math import gcd
 
 import pytest
@@ -142,6 +143,11 @@ def test_hilbert_closed_forms():
     assert hilbert_closed_form_n_minus_2(4) == HilbertSeries((1, 3, 1), 5)
     assert hilbert_closed_form_n_minus_2(5) == HilbertSeries((1, 4, 5, 1), 6)
     assert hilbert_closed_form_n_minus_2(6) == HilbertSeries((1, 5, 9, 5, 1), 7)
+    assert hilbert_closed_form_n_minus_2(11) == HilbertSeries((1, 10, 44, 111, 175, 176, 111, 44, 10, 1), 12)
+    assert hilbert_closed_form_n_minus_2(12) == HilbertSeries((1, 11, 54, 155, 286, 351, 286, 155, 54, 11, 1), 13)
+    assert hilbert_closed_form_n_minus_2(13) == HilbertSeries(
+        (1, 12, 65, 209, 441, 637, 638, 441, 209, 65, 12, 1), 14
+    )
 
 
 def test_verify_hilbert_small():
@@ -167,3 +173,27 @@ def test_cm_type_small_odd():
     assert cm_type_odd(5) == 2
     with pytest.raises(ValueError):
         cm_type_odd(4)
+
+
+def test_table_pool_is_capped_at_the_cell_count(monkeypatch):
+    """A large --jobs must not fork more workers than there are cells."""
+    classify_module = importlib.import_module("cycle_rees.classify")  # the package re-exports classify()
+    recorded = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(classify_module, "ProcessPoolExecutor", FakePool)
+    records = classification_table(3, 4, jobs=10_000)
+    assert recorded == [5]
+    assert [(r.n, r.t) for r in records] == [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from cycle_rees.cli import run
 from cycle_rees.rings import Polynomial
@@ -144,3 +147,43 @@ def test_budget_secs_flag_must_be_positive(capsys):
             assert "--budget-secs" in capsys.readouterr().err
     code, out = invoke("classify", "--n", "5", "--t", "2", "--budget-secs", "30")
     assert code == 0 and out.strip() == "linear"
+
+
+def test_csv_only_on_record_commands(capsys):
+    for argv in (
+        ("fiber-dim", "--n", "6", "--t", "3"),
+        ("hilbert", "--n", "4"),
+        ("cm-type", "--n", "5"),
+        ("verify-gb", "--family", "n2", "--n", "6"),
+        ("pfaffian", "--n", "4"),
+        ("ideal", "--n", "4", "--t", "2", "--which", "path"),
+    ):
+        code, out = invoke(*argv, "--format", "csv")
+        assert code == 2 and out == "", argv
+        assert "--format" in capsys.readouterr().err
+    code, out = invoke("classify", "--n", "4", "--t", "2", "--format", "csv")
+    assert code == 0 and out == "n,t,class,gcd,fiber_dim\n4,2,fiber,2,3\n"
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden_cli"
+
+# file in tests/golden_cli -> the argv whose output it holds, byte for byte
+GOLDEN_CLI = {
+    "table_3_7.txt": ["table", "--n-min", "3", "--n-max", "7", "--jobs", "1"],
+    "table_3_7.json": ["table", "--n-min", "3", "--n-max", "7", "--jobs", "1", "--format", "json"],
+    "table_3_7.csv": ["table", "--n-min", "3", "--n-max", "7", "--jobs", "1", "--format", "csv"],
+    "ideal_8_6_rees.txt": ["ideal", "--n", "8", "--t", "6", "--which", "rees"],
+    "ideal_6_2_fiber.json": ["ideal", "--n", "6", "--t", "2", "--which", "fiber", "--format", "json"],
+    "hilbert_8_verify.json": ["hilbert", "--n", "8", "--verify", "--format", "json"],
+    "cm_type_9.txt": ["cm-type", "--n", "9"],
+    "verify_gb_half_10.json": ["verify-gb", "--family", "half", "--n", "10", "--format", "json"],
+    "pfaffian_8.txt": ["pfaffian", "--n", "8"],
+    "classify_8_3.json": ["classify", "--n", "8", "--t", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI))
+def test_cli_output_matches_golden(name):
+    code, out = invoke(*GOLDEN_CLI[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")

@@ -117,3 +117,10 @@ def test_leading_terms_of_family_members():
     assert leading_term(PO6, const) == (R6.one_exps(), Fraction(5, 2))
     with pytest.raises(RingError):
         leading_term(PO6, Polynomial.zero(R6))
+
+
+def test_canonical_order_eliminates_s_first():
+    ring = cycle_ring(4, with_s=True)
+    assert canonical_order(ring) == elimination_order(ring, ("S",))
+    with pytest.raises(RingError):
+        product_order(ring)
