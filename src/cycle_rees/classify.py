@@ -267,7 +267,7 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
         for i in range(ring.nvars):
             shifted = b[:i] + (b[i] + 1,) + b[i + 1 :]
             nf = normal_form(Polynomial.monomial(ring, shifted), gb, order, budget)
-            for exps, coeff in nf.items():
+            for exps, coeff in nf.terms.items():
                 row[i * size + index[exps]] = coeff
         denom = 1
         for v in row.values():

@@ -1,10 +1,13 @@
 """Buchberger engine: normal forms, reduced Groebner bases, ideal predicates.
 
 The engine works on raw term dicts (exponent tuple -> Fraction) for speed and
-wraps results back into Polynomial.  Pair handling uses the Gebauer-Moeller
-update (which subsumes the coprime and chain criteria) with a deterministic
-selection: minimal lcm degree first, FIFO among equals.  Reduction is full
-tail reduction, so bases come out reduced and initial ideals are canonical.
+wraps results back into Polynomial.  Each basis element is held once, as a
+monic record (lead monomial, lead support mask, tail terms); S-polynomials
+are built from the two tails, since the monic leads cancel.  Pair handling
+uses the Gebauer-Moeller update (which subsumes the coprime and chain
+criteria) with a deterministic selection: minimal lcm degree first, FIFO
+among equals.  Reduction is full tail reduction, so bases come out reduced
+and initial ideals are canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -17,7 +20,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
 from .rings import (
@@ -46,8 +49,8 @@ class Budget:
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.steps = 0
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
+    def tick(self) -> None:
+        self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise BudgetExceeded(f"step budget exceeded ({self.max_steps})")
         if self.deadline is not None and self.steps % 64 == 0 and time.monotonic() > self.deadline:
@@ -57,6 +60,11 @@ class Budget:
 _NO_BUDGET = Budget()
 
 Terms = dict[Exponents, Fraction]
+# One basis element: (lead monomial, its support mask, monic tail terms).
+Reducer = tuple[Exponents, int, Terms]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _support_mask(exps: Exponents) -> int:
@@ -72,7 +80,6 @@ class _Engine:
 
     def __init__(self, ring: RingSpec, order: OrderSpec, budget: Budget):
         self.ring = ring
-        self.order = order
         self.budget = budget
         raw_key = order.key_function(ring)
         memo: dict[Exponents, tuple] = {}
@@ -86,20 +93,20 @@ class _Engine:
 
         self.key = key
 
-    def leading(self, terms: Terms) -> Exponents:
-        return max(terms, key=self.key)
-
-    def make_monic(self, terms: Terms) -> Terms:
-        lc = terms[self.leading(terms)]
+    def reducer(self, terms: Mapping[Exponents, Fraction]) -> Reducer:
+        """The monic record of a nonzero polynomial."""
+        lead = max(terms, key=self.key)
+        lc = terms[lead]
         if lc == 1:
-            return terms
-        return {e: c / lc for e, c in terms.items()}
+            tail = {e: c for e, c in terms.items() if e != lead}
+        else:
+            tail = {e: c / lc for e, c in terms.items() if e != lead}
+        return lead, _support_mask(lead), tail
 
-    def reduce_full(self, f: Terms, reducers: Sequence[tuple[Exponents, int, list[tuple[Exponents, Fraction]], Fraction]]) -> Terms:
+    def reduce_full(self, f: Mapping[Exponents, Fraction], reducers: Sequence[Reducer]) -> Terms:
         """Full normal form of f against reducers, largest reducible term first.
 
-        Each reducer is (lead monomial, support mask, tail terms, lead coeff);
-        the first divisor in list order wins, so the result is deterministic.
+        The first divisor in list order wins, so the result is deterministic.
         """
         out: Terms = {}
         work = dict(f)
@@ -110,15 +117,14 @@ class _Engine:
             m = max(work, key=key)
             c = work.pop(m)
             mmask = _support_mask(m)
-            for lm, lmask, tail, lc in reducers:
+            for lm, lmask, tail in reducers:
                 if lmask & ~mmask:
                     continue
                 if mono_divides(lm, m):
                     q = mono_div(m, lm)
-                    fac = c / lc
-                    for tm, tc in tail:
+                    for tm, tc in tail.items():
                         mm = mono_mul(tm, q)
-                        nc = work.get(mm, _ZERO) - fac * tc
+                        nc = work.get(mm, _ZERO) - c * tc
                         if nc:
                             work[mm] = nc
                         else:
@@ -128,34 +134,23 @@ class _Engine:
                 out[m] = c
         return out
 
-    def s_poly(self, f: Terms, lmf: Exponents, g: Terms, lmg: Exponents) -> Terms:
-        """S-polynomial of monic f, g."""
-        lcm = mono_lcm(lmf, lmg)
-        qf = mono_div(lcm, lmf)
-        qg = mono_div(lcm, lmg)
-        out: Terms = {}
-        for e, c in f.items():
-            out[mono_mul(e, qf)] = c
-        for e, c in g.items():
-            mm = mono_mul(e, qg)
-            nc = out.get(mm, _ZERO) - c
-            if nc:
-                out[mm] = nc
-            else:
-                out.pop(mm, None)
-        return out
 
-
-_ZERO = Fraction(0)
-
-
-def _as_reducers(engine: _Engine, polys: Iterable[Terms]) -> list[tuple[Exponents, int, list[tuple[Exponents, Fraction]], Fraction]]:
-    reducers = []
-    for terms in polys:
-        lm = engine.leading(terms)
-        tail = [(e, c) for e, c in terms.items() if e != lm]
-        reducers.append((lm, _support_mask(lm), tail, terms[lm]))
-    return reducers
+def _s_poly(f: Reducer, g: Reducer) -> Terms:
+    """S-polynomial of two monic records: the leads cancel, the tails remain."""
+    lmf, _, tail_f = f
+    lmg, _, tail_g = g
+    lcm = mono_lcm(lmf, lmg)
+    qf = mono_div(lcm, lmf)
+    qg = mono_div(lcm, lmg)
+    out = {mono_mul(e, qf): c for e, c in tail_f.items()}
+    for e, c in tail_g.items():
+        mm = mono_mul(e, qg)
+        nc = out.get(mm, _ZERO) - c
+        if nc:
+            out[mm] = nc
+        else:
+            out.pop(mm, None)
+    return out
 
 
 def normal_form(
@@ -173,28 +168,27 @@ def normal_form(
             raise RingError("basis polynomial in a different ring")
         if g.is_zero():
             raise RingError("zero polynomial in reduction basis")
-    reducers = _as_reducers(engine, [g.terms for g in basis])
+    reducers = [engine.reducer(g.terms) for g in basis]
     return Polynomial(ring, engine.reduce_full(f.terms, reducers))
 
 
 def _gm_update(
     engine: _Engine,
-    basis: list[Terms],
-    lms: list[Exponents],
+    basis: list[Reducer],
     alive: dict[tuple[int, int], Exponents],
     heap: list[tuple[int, int, int, int]],
     counter: list[int],
-    new_terms: Terms,
+    new: Reducer,
 ) -> None:
-    """Add a polynomial to the basis, updating pairs per Gebauer-Moeller.
+    """Add a record to the basis, updating pairs per Gebauer-Moeller.
 
     ``alive`` maps each live pair to its lcm, so the chain criterion reads it
     instead of recomputing it; the newcomer's lcms are computed once.
     """
     t = len(basis)
-    lmf = engine.leading(new_terms)
+    lmf = new[0]
     key = engine.key
-    new_lcms = [mono_lcm(lm, lmf) for lm in lms]
+    new_lcms = [mono_lcm(b[0], lmf) for b in basis]
 
     # chain criterion: drop old pairs strictly dominated by the newcomer
     for (i, j), lcm_ij in list(alive.items()):
@@ -213,15 +207,14 @@ def _gm_update(
         group = lcm_groups[lcm]
         # coprime criterion: if any pair in the group has coprime leads, all
         # pairs with this lcm are redundant
-        if any(mono_mul(lms[i], lmf) == lcm for i in group):
+        if any(mono_mul(basis[i][0], lmf) == lcm for i in group):
             continue
         i = min(group)
         counter[0] += 1
         alive[i, t] = lcm
         heapq.heappush(heap, (sum(lcm), counter[0], i, t))
 
-    basis.append(new_terms)
-    lms.append(lmf)
+    basis.append(new)
 
 
 def buchberger(
@@ -240,51 +233,45 @@ def buchberger(
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or _NO_BUDGET)
 
-    basis: list[Terms] = []
-    lms: list[Exponents] = []
+    basis: list[Reducer] = []
     alive: dict[tuple[int, int], Exponents] = {}
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
-        monic = engine.make_monic(g.terms)
-        _gm_update(engine, basis, lms, alive, heap, counter, monic)
+        _gm_update(engine, basis, alive, heap, counter, engine.reducer(g.terms))
 
-    reducers = _as_reducers(engine, basis)
     while heap:
-        entry = heapq.heappop(heap)
-        pair = (entry[2], entry[3])
-        if alive.pop(pair, None) is None:
+        _, _, i, j = heapq.heappop(heap)
+        if alive.pop((i, j), None) is None:
             continue
         engine.budget.tick()
-        i, j = pair
-        s = engine.s_poly(basis[i], lms[i], basis[j], lms[j])
+        s = _s_poly(basis[i], basis[j])
         if not s:
             continue
-        r = engine.reduce_full(s, reducers)
+        r = engine.reduce_full(s, basis)
         if r:
-            monic = engine.make_monic(r)
-            _gm_update(engine, basis, lms, alive, heap, counter, monic)
-            reducers += _as_reducers(engine, [monic])
+            _gm_update(engine, basis, alive, heap, counter, engine.reducer(r))
 
-    return _reduce_basis(engine, basis, lms)
+    return _reduce_basis(engine, basis)
 
 
-def _reduce_basis(engine: _Engine, basis: list[Terms], lms: list[Exponents]) -> tuple[Polynomial, ...]:
-    """Minimalize then interreduce, returning the unique reduced basis."""
+def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:
+    """Minimalize then interreduce, returning the unique reduced basis.
+
+    The minimal records are taken in ascending lead order.  A later lead is
+    larger, so it divides no term of an earlier element; each element reduces
+    against the ones before it, keeps its lead with coefficient 1, and the
+    output ascends without a final sort.
+    """
     key = engine.key
-    order_idx = sorted(range(len(basis)), key=lambda i: key(lms[i]))
-    minimal: list[int] = []
-    for i in order_idx:
-        if all(not mono_divides(lms[j], lms[i]) for j in minimal):
-            minimal.append(i)
-    # a later element's lead is larger, so it divides no term of element pos
-    all_reducers = _as_reducers(engine, [basis[i] for i in minimal])
-    reduced: list[Terms] = []
-    for pos, i in enumerate(minimal):
-        r = engine.reduce_full(basis[i], all_reducers[:pos])
-        reduced.append(engine.make_monic(r))
-    reduced.sort(key=lambda terms: key(engine.leading(terms)))
-    return tuple(Polynomial(engine.ring, terms) for terms in reduced)
+    minimal: list[Reducer] = []
+    for rec in sorted(basis, key=lambda rec: key(rec[0])):
+        if all(not mono_divides(prev[0], rec[0]) for prev in minimal):
+            minimal.append(rec)
+    return tuple(
+        Polynomial(engine.ring, engine.reduce_full({lead: _ONE, **tail}, minimal[:pos]))
+        for pos, (lead, _, tail) in enumerate(minimal)
+    )
 
 
 def is_groebner_basis(
@@ -303,24 +290,23 @@ def is_groebner_basis(
     ring = polys[0].ring
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or _NO_BUDGET)
-    terms = [engine.make_monic(g.terms) for g in polys]
-    lms = [engine.leading(t) for t in terms]
-    reducers = _as_reducers(engine, terms)
+    records = [engine.reducer(g.terms) for g in polys]
 
     pairs = []
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            lcm = mono_lcm(lms[i], lms[j])
-            if lcm == mono_mul(lms[i], lms[j]):
+    for i, (lmi, _, _) in enumerate(records):
+        for j in range(i + 1, len(records)):
+            lmj = records[j][0]
+            lcm = mono_lcm(lmi, lmj)
+            if lcm == mono_mul(lmi, lmj):
                 continue
             pairs.append((sum(lcm), i, j))
     pairs.sort()
     for _, i, j in pairs:
         engine.budget.tick()
-        s = engine.s_poly(terms[i], lms[i], terms[j], lms[j])
+        s = _s_poly(records[i], records[j])
         if not s:
             continue
-        r = engine.reduce_full(s, reducers)
+        r = engine.reduce_full(s, records)
         if r:
             return False, (i, j, Polynomial(ring, r))
     return True, None

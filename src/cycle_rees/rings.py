@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, le, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 
@@ -149,18 +149,11 @@ class Polynomial:
 
     __slots__ = ("ring", "_terms", "_hash")
 
-    def __init__(self, ring: RingSpec, terms: Mapping[Exponents, Fraction] | Iterable[tuple[Exponents, Fraction]]):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Exponents, Fraction] = {}
-        for exps, coeff in items:
-            c = Fraction(coeff)
-            if c == 0:
-                continue
-            if len(exps) != ring.nvars:
-                raise RingError("exponent vector length does not match ring")
-            data[exps] = data.get(exps, Fraction(0)) + c
+    def __init__(self, ring: RingSpec, terms: Mapping[Exponents, Fraction]):
+        if any(len(exps) != ring.nvars for exps in terms):
+            raise RingError("exponent vector length does not match ring")
         self.ring = ring
-        self._terms = {e: c for e, c in data.items() if c != 0}
+        self._terms = {e: Fraction(c) for e, c in terms.items() if c}
         self._hash: int | None = None
 
     # -- constructors --
@@ -196,9 +189,6 @@ class Polynomial:
     def terms(self) -> Mapping[Exponents, Fraction]:
         """Read-only view of the term dict, without a copy."""
         return MappingProxyType(self._terms)
-
-    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms

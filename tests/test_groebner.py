@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycle_rees.groebner import (
     Budget,
@@ -18,9 +19,9 @@ from cycle_rees.groebner import (
     is_groebner_basis,
     normal_form,
 )
-from cycle_rees.orders import product_order
+from cycle_rees.orders import OrderSpec, product_order
 from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal
-from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, parse_polynomial
+from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_divides, parse_polynomial
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:
@@ -180,8 +181,6 @@ def random_poly(rng: random.Random, ring=SMALL_RING, max_terms=3, max_exp=2) -> 
 
 
 def test_reduced_basis_unique_under_shuffles():
-    from cycle_rees.orders import OrderSpec
-
     order = OrderSpec(((("X",), "grevlex"),))
     rng = random.Random(7)
     for _ in range(50):
@@ -197,8 +196,6 @@ def test_reduced_basis_unique_under_shuffles():
 
 
 def test_membership_of_constructed_combinations():
-    from cycle_rees.orders import OrderSpec
-
     order = OrderSpec(((("X",), "grevlex"),))
     rng = random.Random(11)
     for _ in range(50):
@@ -213,9 +210,18 @@ def test_membership_of_constructed_combinations():
         assert ideal_membership(combo, ideal, order)
 
 
-def test_buchberger_output_passes_checker():
-    from cycle_rees.orders import OrderSpec
+def assert_reduced_shape(gb, order) -> None:
+    """Monic leads, strictly ascending, none dividing a term of another element."""
+    key = order.key_function(gb[0].ring)
+    leads = [max(g.terms, key=key) for g in gb]
+    assert all(g.terms[lead] == 1 for g, lead in zip(gb, leads))
+    assert all(key(a) < key(b) for a, b in zip(leads, leads[1:]))
+    for i, lead in enumerate(leads):
+        for j, g in enumerate(gb):
+            assert i == j or not any(mono_divides(lead, m) for m in g.terms)
 
+
+def test_buchberger_output_passes_checker():
     order = OrderSpec(((("X",), "grevlex"),))
     rng = random.Random(13)
     for _ in range(25):
@@ -226,3 +232,25 @@ def test_buchberger_output_passes_checker():
         gb = buchberger(gens, order)
         ok, _ = is_groebner_basis(list(gb), order)
         assert ok
+        assert_reduced_shape(gb, order)
+
+
+@pytest.mark.parametrize("n,t", [(6, 4), (8, 6)])
+def test_rees_basis_has_reduced_shape(n, t, rees_cache):
+    J = rees_cache(n, t)
+    order = product_order(J.ring)
+    assert_reduced_shape(J.groebner_basis(order), order)
+
+
+small_exps = st.tuples(*([st.integers(min_value=0, max_value=2)] * SMALL_RING.nvars))
+small_polys = st.dictionaries(small_exps, st.integers(min_value=-3, max_value=3), min_size=1, max_size=4).map(
+    lambda d: Polynomial(SMALL_RING, d)
+)
+scales = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda c: c not in (0, 1, -1))
+
+
+@given(small_polys, st.lists(st.tuples(small_polys.filter(bool), scales), min_size=1, max_size=3))
+def test_normal_form_ignores_divisor_scaling(f, scaled):
+    order = OrderSpec(((("X",), "grevlex"),))
+    basis = [b for b, _ in scaled]
+    assert normal_form(f, basis, order) == normal_form(f, [b.scale(c) for b, c in scaled], order)
