@@ -20,10 +20,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb, gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, ideal_equal, ideal_membership, normal_form
+from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal, ideal_membership
 from .linalg import matrix_rank, sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import OrderSpec, product_order
@@ -261,12 +261,15 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     index = {m: c for c, m in enumerate(standard)}
     size = len(standard)
 
+    # every x_i * b, reduced against one set of basis records as it is read
+    shifted = (
+        Polynomial.monomial(ring, b[:i] + (b[i] + 1,) + b[i + 1 :]) for b in standard for i in range(ring.nvars)
+    )
+    nfs = _normal_forms(shifted, gb, order, budget)
     rows = []
-    for b in standard:
+    for _ in standard:
         row: dict[int, Fraction] = {}
-        for i in range(ring.nvars):
-            shifted = b[:i] + (b[i] + 1,) + b[i + 1 :]
-            nf = normal_form(Polynomial.monomial(ring, shifted), gb, order, budget)
+        for i, nf in enumerate(islice(nfs, ring.nvars)):
             for exps, coeff in nf.terms.items():
                 row[i * size + index[exps]] = coeff
         denom = 1

@@ -20,7 +20,8 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
 from .rings import (
@@ -160,38 +161,63 @@ def normal_form(
     budget: Budget | None = None,
 ) -> Polynomial:
     """Remainder of f on division by basis (in list order), fully reduced."""
-    ring = f.ring
-    order = order or canonical_order(ring)
-    engine = _Engine(ring, order, budget or _NO_BUDGET)
+    return next(_normal_forms([f], basis, order, budget))
+
+
+def _normal_forms(
+    fs: Iterable[Polynomial],
+    basis: Sequence[Polynomial],
+    order: OrderSpec | None = None,
+    budget: Budget | None = None,
+) -> Iterator[Polynomial]:
+    """The normal form of each f against one basis, yielded as fs is read.
+
+    One engine and one record list serve every f, so the basis records and
+    the key memo are built once however many polynomials are reduced.
+    """
+    fs = iter(fs)
+    first = next(fs, None)
+    if first is None:
+        return
+    ring = first.ring
+    engine = _Engine(ring, order or canonical_order(ring), budget or _NO_BUDGET)
     for g in basis:
         if g.ring != ring:
             raise RingError("basis polynomial in a different ring")
         if g.is_zero():
             raise RingError("zero polynomial in reduction basis")
     reducers = [engine.reducer(g.terms) for g in basis]
-    return Polynomial(ring, engine.reduce_full(f.terms, reducers))
+    for f in chain([first], fs):
+        if f.ring != ring:
+            raise RingError("polynomials to reduce live in different rings")
+        yield Polynomial(ring, engine.reduce_full(f.terms, reducers))
 
 
 def _gm_update(
     engine: _Engine,
     basis: list[Reducer],
-    alive: dict[tuple[int, int], Exponents],
+    alive: dict[tuple[int, int], tuple[Exponents, int]],
     heap: list[tuple[int, int, int, int]],
     counter: list[int],
     new: Reducer,
 ) -> None:
     """Add a record to the basis, updating pairs per Gebauer-Moeller.
 
-    ``alive`` maps each live pair to its lcm, so the chain criterion reads it
-    instead of recomputing it; the newcomer's lcms are computed once.
+    ``alive`` maps each live pair to its lcm and the lcm's support mask, so
+    the chain criterion reads them instead of recomputing them; the
+    newcomer's lcms are computed once.  An lcm's support is the union of its
+    two leads' supports, so its mask is the OR of theirs, and a monomial
+    whose mask is not inside it cannot divide it (Bachmann-Schoenemann).
     """
     t = len(basis)
-    lmf = new[0]
+    lmf, fmask, _ = new
     key = engine.key
     new_lcms = [mono_lcm(b[0], lmf) for b in basis]
 
     # chain criterion: drop old pairs strictly dominated by the newcomer
-    for (i, j), lcm_ij in list(alive.items()):
+    for (i, j), (lcm_ij, mask_ij) in list(alive.items()):
+        if fmask & ~mask_ij:
+            continue
         if mono_divides(lmf, lcm_ij) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
             del alive[i, j]
 
@@ -199,19 +225,20 @@ def _gm_update(
     lcm_groups: dict[Exponents, list[int]] = {}
     for i, lcm in enumerate(new_lcms):
         lcm_groups.setdefault(lcm, []).append(i)
-    minimal: list[Exponents] = []
+    minimal: list[tuple[Exponents, int]] = []
     for lcm in sorted(lcm_groups, key=key):
-        if all(not mono_divides(prev, lcm) for prev in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
+        mask = basis[lcm_groups[lcm][0]][1] | fmask
+        if all(pmask & ~mask or not mono_divides(prev, lcm) for prev, pmask in minimal):
+            minimal.append((lcm, mask))
+    for lcm, mask in minimal:
         group = lcm_groups[lcm]
         # coprime criterion: if any pair in the group has coprime leads, all
         # pairs with this lcm are redundant
-        if any(mono_mul(basis[i][0], lmf) == lcm for i in group):
+        if any(not basis[i][1] & fmask for i in group):
             continue
         i = min(group)
         counter[0] += 1
-        alive[i, t] = lcm
+        alive[i, t] = (lcm, mask)
         heapq.heappush(heap, (sum(lcm), counter[0], i, t))
 
     basis.append(new)
@@ -234,7 +261,7 @@ def buchberger(
     engine = _Engine(ring, order, budget or _NO_BUDGET)
 
     basis: list[Reducer] = []
-    alive: dict[tuple[int, int], Exponents] = {}
+    alive: dict[tuple[int, int], tuple[Exponents, int]] = {}
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
@@ -293,13 +320,11 @@ def is_groebner_basis(
     records = [engine.reducer(g.terms) for g in polys]
 
     pairs = []
-    for i, (lmi, _, _) in enumerate(records):
+    for i, (lmi, maski, _) in enumerate(records):
         for j in range(i + 1, len(records)):
-            lmj = records[j][0]
-            lcm = mono_lcm(lmi, lmj)
-            if lcm == mono_mul(lmi, lmj):
-                continue
-            pairs.append((sum(lcm), i, j))
+            lmj, maskj, _ = records[j]
+            if maski & maskj:
+                pairs.append((sum(mono_lcm(lmi, lmj)), i, j))
     pairs.sort()
     for _, i, j in pairs:
         engine.budget.tick()

@@ -17,6 +17,8 @@ The two orders that matter here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable
 
 from .rings import Exponents, RingError, RingSpec
@@ -48,29 +50,40 @@ class OrderSpec:
             )
 
     def key_function(self, ring: RingSpec) -> KeyFunction:
-        """Compile to a key: tuple comparison of keys realizes the order."""
+        """Compile to a key: tuple comparison of keys realizes the order.
+
+        Each stage reads its exponents with an ``itemgetter`` (a slice when the
+        indices are contiguous).  A lex stage compares them as read.  A grevlex
+        stage compares its reversed prefix sums (S_k, S_{k-1}, ..., S_1): the
+        degree first, then, at equal degree, a larger S_{k-1} means a smaller
+        last exponent.  A stage over one variable is just that exponent.
+        """
         self.validate(ring)
-        stage_specs: list[tuple[str, tuple[int, ...]]] = []
+        parts: list[KeyFunction] = []
         for blocks, base in self.stages:
-            idxs: list[int] = []
-            for b in blocks:
-                idxs.extend(ring.block_indices(b))
-            stage_specs.append((base, tuple(idxs)))
-
-        def key(exps: Exponents) -> tuple:
-            parts: list = []
-            for base, idxs in stage_specs:
-                if base == "lex":
-                    parts.append(tuple(exps[i] for i in idxs))
-                else:
-                    total = 0
-                    for i in idxs:
-                        total += exps[i]
-                    parts.append(total)
-                    parts.append(tuple(-exps[i] for i in reversed(idxs)))
-            return tuple(parts)
-
-        return key
+            idxs = [i for b in blocks for i in ring.block_indices(b)]
+            if not idxs:
+                continue  # a block without variables compares nothing
+            if len(idxs) == 1:
+                parts.append(itemgetter(idxs[0]))
+                continue
+            if idxs == list(range(idxs[0], idxs[0] + len(idxs))):
+                read = itemgetter(slice(idxs[0], idxs[0] + len(idxs)))
+            else:
+                read = itemgetter(*idxs)
+            if base == "lex":
+                parts.append(read)
+            else:
+                parts.append(lambda exps, read=read: tuple(accumulate(read(exps)))[::-1])
+        if len(parts) == 1:
+            return parts[0]
+        if len(parts) == 2:
+            first, second = parts
+            return lambda exps: (first(exps), second(exps))
+        if len(parts) == 3:
+            first, second, third = parts
+            return lambda exps: (first(exps), second(exps), third(exps))
+        return lambda exps: tuple([part(exps) for part in parts])
 
     def describe(self) -> list[dict[str, object]]:
         """JSON-friendly description, for certificates."""

@@ -9,8 +9,39 @@ from __future__ import annotations
 from math import gcd
 
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
+from cycle_rees.orders import KeyFunction, OrderSpec
 from cycle_rees.rees import PolyMatrix
-from cycle_rees.rings import Exponents, Polynomial
+from cycle_rees.rings import Exponents, Polynomial, RingSpec
+
+
+# -- monomial orders: the stage-by-stage key the compiled key must agree with --
+
+
+def reference_key(order: OrderSpec, ring: RingSpec) -> KeyFunction:
+    """Key read stage by stage: lex as the exponents, grevlex as the degree
+    followed by the negated exponents from the last variable back."""
+    order.validate(ring)
+    stage_specs: list[tuple[str, tuple[int, ...]]] = []
+    for blocks, base in order.stages:
+        idxs: list[int] = []
+        for b in blocks:
+            idxs.extend(ring.block_indices(b))
+        stage_specs.append((base, tuple(idxs)))
+
+    def key(exps: Exponents) -> tuple:
+        parts: list = []
+        for base, idxs in stage_specs:
+            if base == "lex":
+                parts.append(tuple(exps[i] for i in idxs))
+            else:
+                total = 0
+                for i in idxs:
+                    total += exps[i]
+                parts.append(total)
+                parts.append(tuple(-exps[i] for i in reversed(idxs)))
+        return tuple(parts)
+
+    return key
 
 
 # -- Hilbert series: a second pivot rule and inclusion-exclusion --

@@ -22,8 +22,9 @@ from cycle_rees.classify import (
     render_table,
     verify_hilbert,
 )
-from cycle_rees.groebner import Budget, BudgetExceeded
+from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries
+from cycle_rees.rings import parse_polynomial
 
 from oracles import known_linear, known_not_linear
 
@@ -173,6 +174,25 @@ def test_cm_type_small_odd():
     assert cm_type_odd(5) == 2
     with pytest.raises(ValueError):
         cm_type_odd(4)
+
+
+def test_cm_type_work_is_pinned():
+    # one normal form per shifted standard monomial; reusing the basis
+    # records across them must not change the reduction steps
+    budget = Budget()
+    assert cm_type_odd(9, budget) == 2
+    assert budget.steps == 2189
+
+
+def test_batch_normal_forms_match_single_calls():
+    ring, order, gens = artinian_reduction_ideal(7)
+    basis = list(buchberger(gens, order))
+    f1 = parse_polynomial(ring, "x1^3*x4 - 2*x3^2*x5 + x1^2*x6 + x2")
+    f2 = parse_polynomial(ring, "x5^2*x6 + x4*x6 - 1/3*x1")
+    for b in (basis, gens, []):
+        expected = [normal_form(f1, b, order), normal_form(f2, b, order)]
+        assert list(_normal_forms([f1, f2], b, order)) == expected
+    assert list(_normal_forms([], basis, order)) == []
 
 
 def test_table_pool_is_capped_at_the_cell_count(monkeypatch):

@@ -12,6 +12,7 @@ from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
     Ideal,
+    _support_mask,
     buchberger,
     eliminate,
     ideal_equal,
@@ -21,7 +22,7 @@ from cycle_rees.groebner import (
 )
 from cycle_rees.orders import OrderSpec, product_order
 from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal
-from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_divides, parse_polynomial
+from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_divides, mono_lcm, mono_mul, parse_polynomial
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:
@@ -254,3 +255,14 @@ def test_normal_form_ignores_divisor_scaling(f, scaled):
     order = OrderSpec(((("X",), "grevlex"),))
     basis = [b for b, _ in scaled]
     assert normal_form(f, basis, order) == normal_form(f, [b.scale(c) for b, c in scaled], order)
+
+
+exps6 = st.tuples(*([st.integers(min_value=0, max_value=2)] * 6))
+
+
+@given(exps6, exps6)
+def test_lcm_mask_facts(a, b):
+    # the pair criteria read an lcm's mask as the OR of the leads' masks, and
+    # take disjoint masks to mean the lcm is the product (coprime leads)
+    assert _support_mask(mono_lcm(a, b)) == _support_mask(a) | _support_mask(b)
+    assert (mono_lcm(a, b) == mono_mul(a, b)) == (not _support_mask(a) & _support_mask(b))

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from cycle_rees.classify import artinian_reduction_ideal
 from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, monomial_cmp, product_order
-from cycle_rees.rings import RingError, cycle_ring, mono_mul, parse_polynomial
+from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_mul, parse_polynomial
+
+from oracles import reference_key
 
 R5 = cycle_ring(5)
 R4 = cycle_ring(4)
@@ -124,3 +127,30 @@ def test_canonical_order_eliminates_s_first():
     assert canonical_order(ring) == elimination_order(ring, ("S",))
     with pytest.raises(RingError):
         product_order(ring)
+
+
+S4 = cycle_ring(4, with_s=True)
+ART7_RING, ART7_ORDER, _ = artinian_reduction_ideal(7)
+MIXED = RingSpec((("A", ("a",)), ("B", ("b1", "b2")), ("C", ("c",)), ("D", ("d1", "d2", "d3"))))
+# product, S-elimination, single-block lex, non-contiguous stages and the
+# general many-stage key, against the stage-by-stage reference key
+COMPILED_CASES = [
+    (R5, PO5),
+    (S4, elimination_order(S4, ("S",))),
+    (ART7_RING, ART7_ORDER),
+    (R4, OrderSpec(((("X", "Y"), "grevlex"),))),
+    (R4, OrderSpec(((("X", "Y"), "lex"),))),
+    # four stages, two of them over a single variable
+    (MIXED, OrderSpec(((("A",), "lex"), (("B",), "grevlex"), (("C",), "grevlex"), (("D",), "lex")))),
+]
+
+
+@pytest.mark.parametrize("ring,order", COMPILED_CASES)
+@given(data=st.data())
+def test_compiled_key_matches_reference(ring, order, data):
+    exps = st.tuples(*([st.integers(min_value=0, max_value=3)] * ring.nvars))
+    a = data.draw(exps)
+    # a permutation of a has the same degree, so grevlex falls to its tie-break
+    b = data.draw(st.one_of(exps, st.permutations(a).map(tuple)))
+    key, ref = order.key_function(ring), reference_key(order, ring)
+    assert (key(a) > key(b)) - (key(a) < key(b)) == (ref(a) > ref(b)) - (ref(a) < ref(b))
