@@ -262,15 +262,13 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     size = len(standard)
 
     # every x_i * b, reduced against one set of basis records as it is read
-    shifted = (
-        Polynomial.monomial(ring, b[:i] + (b[i] + 1,) + b[i + 1 :]) for b in standard for i in range(ring.nvars)
-    )
-    nfs = _normal_forms(shifted, gb, order, budget)
+    shifted = ({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
+    nfs = _normal_forms(ring, shifted, gb, order, budget)
     rows = []
     for _ in standard:
-        row: dict[int, Fraction] = {}
+        row: dict[int, int | Fraction] = {}
         for i, nf in enumerate(islice(nfs, ring.nvars)):
-            for exps, coeff in nf.terms.items():
+            for exps, coeff in nf.items():
                 row[i * size + index[exps]] = coeff
         denom = 1
         for v in row.values():

@@ -1,13 +1,18 @@
 """Buchberger engine: normal forms, reduced Groebner bases, ideal predicates.
 
-The engine works on raw term dicts (exponent tuple -> Fraction) for speed and
-wraps results back into Polynomial.  Each basis element is held once, as a
+The engine works on raw term dicts (exponent tuple -> coefficient) for speed
+and wraps results back into Polynomial.  Inside the engine an integral
+coefficient is a plain int and any other one an exact Fraction, so bases
+with coefficients +-1 never touch Fraction arithmetic; Polynomial turns every
+coefficient back into a Fraction.  Each basis element is held once, as a
 monic record (lead monomial, lead support mask, tail terms); S-polynomials
 are built from the two tails, since the monic leads cancel.  Pair handling
 uses the Gebauer-Moeller update (which subsumes the coprime and chain
 criteria) with a deterministic selection: minimal lcm degree first, FIFO
-among equals.  Reduction is full tail reduction, so bases come out reduced
-and initial ideals are canonical.
+among equals.  The update reads each lead packed into one int, so an lcm or
+a divisibility test is a few integer operations instead of a loop over the
+variables.  Reduction is full tail reduction, so bases come out reduced and
+initial ideals are canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -17,10 +22,10 @@ mathematical answer.
 from __future__ import annotations
 
 import heapq
+import struct
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
@@ -60,12 +65,49 @@ class Budget:
 
 _NO_BUDGET = Budget()
 
-Terms = dict[Exponents, Fraction]
+# Coefficients are ints when integral and Fractions otherwise.
+Terms = dict[Exponents, int | Fraction]
 # One basis element: (lead monomial, its support mask, monic tail terms).
 Reducer = tuple[Exponents, int, Terms]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _exact(c: int | Fraction) -> int | Fraction:
+    """An integral coefficient as an int, any other one unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+# A packed monomial holds exponent i in bits [16i, 16i + 15) of one int; bit
+# 16i + 15 is a guard that stays 0, so per-field subtraction never borrows
+# from the next field.
+_EXP_LIMIT = 1 << 15
+
+
+def _pack(exps: Exponents) -> int:
+    if max(exps, default=0) >= _EXP_LIMIT:
+        raise RingError(f"lead exponent {max(exps)} is over {_EXP_LIMIT - 1}, the limit of a packed lead")
+    return int.from_bytes(struct.pack(f"<{len(exps)}H", *exps), "little")
+
+
+def _unpack(packed: int, nvars: int) -> Exponents:
+    return struct.unpack(f"<{nvars}H", packed.to_bytes(2 * nvars, "little"))
+
+
+def _guard(nvars: int) -> int:
+    """The guard bits of every field."""
+    return int.from_bytes(b"\x00\x80" * nvars, "little")
+
+
+def _packed_lcm(a: int, b: int, guard: int) -> int:
+    # a field's guard survives (a | guard) - b exactly when a_i >= b_i;
+    # sel then spans the value bits of those fields
+    d = ((a | guard) - b) & guard
+    sel = d - (d >> 15)
+    return (a & sel) | (b & ~sel)
+
+
+def _packed_divides(a: int, b: int, guard: int) -> bool:
+    """Whether a divides b: every field keeps its guard in (b | guard) - a."""
+    return ((b | guard) - a) & guard == guard
 
 
 def _support_mask(exps: Exponents) -> int:
@@ -82,6 +124,7 @@ class _Engine:
     def __init__(self, ring: RingSpec, order: OrderSpec, budget: Budget):
         self.ring = ring
         self.budget = budget
+        self.guard = _guard(ring.nvars)
         raw_key = order.key_function(ring)
         memo: dict[Exponents, tuple] = {}
 
@@ -94,23 +137,26 @@ class _Engine:
 
         self.key = key
 
-    def reducer(self, terms: Mapping[Exponents, Fraction]) -> Reducer:
+    def reducer(self, terms: Mapping[Exponents, int | Fraction]) -> Reducer:
         """The monic record of a nonzero polynomial."""
         lead = max(terms, key=self.key)
         lc = terms[lead]
         if lc == 1:
-            tail = {e: c for e, c in terms.items() if e != lead}
+            tail = {e: _exact(c) for e, c in terms.items() if e != lead}
+        elif lc == -1:
+            tail = {e: -_exact(c) for e, c in terms.items() if e != lead}
         else:
-            tail = {e: c / lc for e, c in terms.items() if e != lead}
+            lc = Fraction(lc)
+            tail = {e: _exact(c / lc) for e, c in terms.items() if e != lead}
         return lead, _support_mask(lead), tail
 
-    def reduce_full(self, f: Mapping[Exponents, Fraction], reducers: Sequence[Reducer]) -> Terms:
+    def reduce_full(self, f: Mapping[Exponents, int | Fraction], reducers: Sequence[Reducer]) -> Terms:
         """Full normal form of f against reducers, largest reducible term first.
 
         The first divisor in list order wins, so the result is deterministic.
         """
         out: Terms = {}
-        work = dict(f)
+        work = {e: _exact(c) for e, c in f.items()}
         key = self.key
         tick = self.budget.tick
         while work:
@@ -125,7 +171,7 @@ class _Engine:
                     q = mono_div(m, lm)
                     for tm, tc in tail.items():
                         mm = mono_mul(tm, q)
-                        nc = work.get(mm, _ZERO) - c * tc
+                        nc = work.get(mm, 0) - c * tc
                         if nc:
                             work[mm] = nc
                         else:
@@ -146,7 +192,7 @@ def _s_poly(f: Reducer, g: Reducer) -> Terms:
     out = {mono_mul(e, qf): c for e, c in tail_f.items()}
     for e, c in tail_g.items():
         mm = mono_mul(e, qg)
-        nc = out.get(mm, _ZERO) - c
+        nc = out.get(mm, 0) - c
         if nc:
             out[mm] = nc
         else:
@@ -161,25 +207,22 @@ def normal_form(
     budget: Budget | None = None,
 ) -> Polynomial:
     """Remainder of f on division by basis (in list order), fully reduced."""
-    return next(_normal_forms([f], basis, order, budget))
+    return Polynomial(f.ring, next(_normal_forms(f.ring, [f.terms], basis, order, budget)))
 
 
 def _normal_forms(
-    fs: Iterable[Polynomial],
+    ring: RingSpec,
+    fs: Iterable[Mapping[Exponents, int | Fraction]],
     basis: Sequence[Polynomial],
     order: OrderSpec | None = None,
     budget: Budget | None = None,
-) -> Iterator[Polynomial]:
-    """The normal form of each f against one basis, yielded as fs is read.
+) -> Iterator[Terms]:
+    """The normal form of each term dict f of ring against one basis, as
+    term dicts, yielded as fs is read.
 
     One engine and one record list serve every f, so the basis records and
     the key memo are built once however many polynomials are reduced.
     """
-    fs = iter(fs)
-    first = next(fs, None)
-    if first is None:
-        return
-    ring = first.ring
     engine = _Engine(ring, order or canonical_order(ring), budget or _NO_BUDGET)
     for g in basis:
         if g.ring != ring:
@@ -187,61 +230,68 @@ def _normal_forms(
         if g.is_zero():
             raise RingError("zero polynomial in reduction basis")
     reducers = [engine.reducer(g.terms) for g in basis]
-    for f in chain([first], fs):
-        if f.ring != ring:
-            raise RingError("polynomials to reduce live in different rings")
-        yield Polynomial(ring, engine.reduce_full(f.terms, reducers))
+    for f in fs:
+        yield engine.reduce_full(f, reducers)
 
 
 def _gm_update(
     engine: _Engine,
     basis: list[Reducer],
-    alive: dict[tuple[int, int], tuple[Exponents, int]],
+    packed: list[int],
+    alive: dict[tuple[int, int], tuple[int, int]],
     heap: list[tuple[int, int, int, int]],
     counter: list[int],
     new: Reducer,
 ) -> None:
     """Add a record to the basis, updating pairs per Gebauer-Moeller.
 
-    ``alive`` maps each live pair to its lcm and the lcm's support mask, so
-    the chain criterion reads them instead of recomputing them; the
-    newcomer's lcms are computed once.  An lcm's support is the union of its
-    two leads' supports, so its mask is the OR of theirs, and a monomial
-    whose mask is not inside it cannot divide it (Bachmann-Schoenemann).
+    ``packed`` holds each basis lead packed into one int.  ``alive`` maps
+    each live pair to its packed lcm and the lcm's support mask, so the chain
+    criterion reads them instead of recomputing them; the newcomer's lcms are
+    computed once.  An lcm's support is the union of its two leads' supports,
+    so its mask is the OR of theirs, and a monomial whose mask is not inside
+    it cannot divide it (Bachmann-Schoenemann).
     """
     t = len(basis)
     lmf, fmask, _ = new
-    key = engine.key
-    new_lcms = [mono_lcm(b[0], lmf) for b in basis]
+    pf = _pack(lmf)
+    guard = engine.guard
+    new_lcms = [_packed_lcm(p, pf, guard) for p in packed]
 
     # chain criterion: drop old pairs strictly dominated by the newcomer
     for (i, j), (lcm_ij, mask_ij) in list(alive.items()):
         if fmask & ~mask_ij:
             continue
-        if mono_divides(lmf, lcm_ij) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
+        if _packed_divides(pf, lcm_ij, guard) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
             del alive[i, j]
 
-    # group candidate pairs by lcm, keep only divisibility-minimal lcms
-    lcm_groups: dict[Exponents, list[int]] = {}
+    # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
+    # divisor packs to a smaller int, so int order meets divisors first
+    lcm_groups: dict[int, list[int]] = {}
     for i, lcm in enumerate(new_lcms):
         lcm_groups.setdefault(lcm, []).append(i)
-    minimal: list[tuple[Exponents, int]] = []
-    for lcm in sorted(lcm_groups, key=key):
+    minimal: list[tuple[int, int]] = []
+    for lcm in sorted(lcm_groups):
         mask = basis[lcm_groups[lcm][0]][1] | fmask
-        if all(pmask & ~mask or not mono_divides(prev, lcm) for prev, pmask in minimal):
+        if all(pmask & ~mask or not _packed_divides(prev, lcm, guard) for prev, pmask in minimal):
             minimal.append((lcm, mask))
+    pushed = []
     for lcm, mask in minimal:
         group = lcm_groups[lcm]
         # coprime criterion: if any pair in the group has coprime leads, all
         # pairs with this lcm are redundant
-        if any(not basis[i][1] & fmask for i in group):
-            continue
-        i = min(group)
+        if all(basis[i][1] & fmask for i in group):
+            pushed.append((_unpack(lcm, len(lmf)), lcm, mask, min(group)))
+    # FIFO ties among equal degrees follow the term order of the lcms
+    key = engine.key
+    pushed.sort(key=lambda item: key(item[0]))
+    for exps, lcm, mask, i in pushed:
         counter[0] += 1
         alive[i, t] = (lcm, mask)
-        heapq.heappush(heap, (sum(lcm), counter[0], i, t))
+        heapq.heappush(heap, (sum(exps), counter[0], i, t))
 
     basis.append(new)
+    packed.append(pf)
 
 
 def buchberger(
@@ -261,11 +311,12 @@ def buchberger(
     engine = _Engine(ring, order, budget or _NO_BUDGET)
 
     basis: list[Reducer] = []
-    alive: dict[tuple[int, int], tuple[Exponents, int]] = {}
+    packed: list[int] = []
+    alive: dict[tuple[int, int], tuple[int, int]] = {}
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
-        _gm_update(engine, basis, alive, heap, counter, engine.reducer(g.terms))
+        _gm_update(engine, basis, packed, alive, heap, counter, engine.reducer(g.terms))
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
@@ -277,12 +328,12 @@ def buchberger(
             continue
         r = engine.reduce_full(s, basis)
         if r:
-            _gm_update(engine, basis, alive, heap, counter, engine.reducer(r))
+            _gm_update(engine, basis, packed, alive, heap, counter, engine.reducer(r))
 
-    return _reduce_basis(engine, basis)
+    return _reduce_basis(engine, basis, packed)
 
 
-def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:
+def _reduce_basis(engine: _Engine, basis: list[Reducer], packed: list[int]) -> tuple[Polynomial, ...]:
     """Minimalize then interreduce, returning the unique reduced basis.
 
     The minimal records are taken in ascending lead order.  A later lead is
@@ -291,12 +342,15 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
     output ascends without a final sort.
     """
     key = engine.key
+    guard = engine.guard
     minimal: list[Reducer] = []
-    for rec in sorted(basis, key=lambda rec: key(rec[0])):
-        if all(not mono_divides(prev[0], rec[0]) for prev in minimal):
+    minimal_packed: list[int] = []
+    for rec, p in sorted(zip(basis, packed), key=lambda item: key(item[0][0])):
+        if all(not _packed_divides(prev, p, guard) for prev in minimal_packed):
             minimal.append(rec)
+            minimal_packed.append(p)
     return tuple(
-        Polynomial(engine.ring, engine.reduce_full({lead: _ONE, **tail}, minimal[:pos]))
+        Polynomial(engine.ring, engine.reduce_full({lead: 1, **tail}, minimal[:pos]))
         for pos, (lead, _, tail) in enumerate(minimal)
     )
 

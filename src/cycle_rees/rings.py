@@ -141,7 +141,7 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 class Polynomial:

@@ -190,9 +190,9 @@ def test_batch_normal_forms_match_single_calls():
     f1 = parse_polynomial(ring, "x1^3*x4 - 2*x3^2*x5 + x1^2*x6 + x2")
     f2 = parse_polynomial(ring, "x5^2*x6 + x4*x6 - 1/3*x1")
     for b in (basis, gens, []):
-        expected = [normal_form(f1, b, order), normal_form(f2, b, order)]
-        assert list(_normal_forms([f1, f2], b, order)) == expected
-    assert list(_normal_forms([], basis, order)) == []
+        expected = [dict(normal_form(f1, b, order).terms), dict(normal_form(f2, b, order).terms)]
+        assert list(_normal_forms(ring, [f1.terms, f2.terms], b, order)) == expected
+    assert list(_normal_forms(ring, [], basis, order)) == []
 
 
 def test_table_pool_is_capped_at_the_cell_count(monkeypatch):

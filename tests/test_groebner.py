@@ -12,7 +12,12 @@ from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
     Ideal,
+    _guard,
+    _pack,
+    _packed_divides,
+    _packed_lcm,
     _support_mask,
+    _unpack,
     buchberger,
     eliminate,
     ideal_equal,
@@ -22,7 +27,16 @@ from cycle_rees.groebner import (
 )
 from cycle_rees.orders import OrderSpec, product_order
 from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal
-from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_divides, mono_lcm, mono_mul, parse_polynomial
+from cycle_rees.rings import (
+    Polynomial,
+    RingError,
+    RingSpec,
+    cycle_ring,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_polynomial,
+)
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:
@@ -257,6 +271,23 @@ def test_normal_form_ignores_divisor_scaling(f, scaled):
     assert normal_form(f, basis, order) == normal_form(f, [b.scale(c) for b, c in scaled], order)
 
 
+fractional = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda c: c.denominator > 1)
+fractional_polys = st.dictionaries(small_exps, fractional, min_size=1, max_size=4).map(
+    lambda d: Polynomial(SMALL_RING, d)
+)
+
+
+@given(st.lists(st.tuples(small_polys.filter(bool), scales), max_size=2), st.tuples(fractional_polys, scales))
+def test_reduced_basis_ignores_generator_scaling(scaled, fractional_gen):
+    # the last generator has only non-integral coefficients, so its record
+    # divides by a Fraction lead coefficient
+    order = OrderSpec(((("X",), "grevlex"),))
+    scaled = scaled + [fractional_gen]
+    gb = buchberger([b for b, _ in scaled], order)
+    assert buchberger([b.scale(c) for b, c in scaled], order) == gb
+    assert_reduced_shape(gb, order)
+
+
 exps6 = st.tuples(*([st.integers(min_value=0, max_value=2)] * 6))
 
 
@@ -266,3 +297,29 @@ def test_lcm_mask_facts(a, b):
     # take disjoint masks to mean the lcm is the product (coprime leads)
     assert _support_mask(mono_lcm(a, b)) == _support_mask(a) | _support_mask(b)
     assert (mono_lcm(a, b) == mono_mul(a, b)) == (not _support_mask(a) & _support_mask(b))
+
+
+# exponents from both ends of a packed field, so that divisibility is common
+field = st.one_of(st.sampled_from([0, 1, 2, 2**15 - 2, 2**15 - 1]), st.integers(min_value=0, max_value=2**15 - 1))
+packable = st.tuples(*([field] * 5))
+
+
+@given(packable, packable)
+def test_packed_kernels_match_tuple_kernels(a, b):
+    guard = _guard(len(a))
+    pa, pb = _pack(a), _pack(b)
+    assert _unpack(pa, len(a)) == a
+    assert _unpack(_packed_lcm(pa, pb, guard), len(a)) == mono_lcm(a, b)
+    assert _packed_divides(pa, pb, guard) == mono_divides(a, b)
+    # int order extends divisibility, so sorting packed lcms meets divisors first
+    assert not mono_divides(a, b) or pa <= pb
+    assert pa <= _pack(mono_lcm(a, b))
+
+
+def test_packed_lead_exponent_limit():
+    ring = RingSpec((("X", ("a", "b")),))
+    order = OrderSpec(((("X",), "grevlex"),))
+    top = Polynomial.monomial(ring, (2**15 - 1, 0))
+    assert buchberger([top], order) == (top,)
+    with pytest.raises(RingError, match="32767"):
+        buchberger([Polynomial.monomial(ring, (1, 2**15))], order)
