@@ -1,18 +1,18 @@
 """Buchberger engine: normal forms, reduced Groebner bases, ideal predicates.
 
-The engine works on raw term dicts (exponent tuple -> coefficient) for speed
-and wraps results back into Polynomial.  Inside the engine an integral
-coefficient is a plain int and any other one an exact Fraction, so bases
-with coefficients +-1 never touch Fraction arithmetic; Polynomial turns every
-coefficient back into a Fraction.  Each basis element is held once, as a
-monic record (lead monomial, lead support mask, tail terms); S-polynomials
+Inside the engine a monomial is one int, exponent i in bits [16i, 16i + 15)
+under a zero guard bit (Bachmann-Schoenemann): a product is a sum, a
+quotient a difference, an lcm or a divisibility test a few integer
+operations, and two leads are coprime exactly when their lcm is their sum.
+Terms are packed once on entry and unpacked for Polynomial on exit; an
+exponent of 2^15 or more, given or produced, raises RingError.  An integral
+coefficient is a plain int and any other one an exact Fraction.  Each basis
+element is held once, as a monic record (lead, tail terms); S-polynomials
 are built from the two tails, since the monic leads cancel.  Pair handling
 uses the Gebauer-Moeller update (which subsumes the coprime and chain
 criteria) with a deterministic selection: minimal lcm degree first, FIFO
-among equals.  The update reads each lead packed into one int, so an lcm or
-a divisibility test is a few integer operations instead of a loop over the
-variables.  Reduction is full tail reduction, so bases come out reduced and
-initial ideals are canonical.
+among equals.  Reduction is full tail reduction, so bases come out reduced
+and initial ideals are canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -29,16 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
-from .rings import (
-    Exponents,
-    Polynomial,
-    RingError,
-    RingSpec,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .rings import Exponents, Polynomial, RingError, RingSpec
 
 
 class BudgetExceeded(RuntimeError):
@@ -65,10 +56,11 @@ class Budget:
 
 _NO_BUDGET = Budget()
 
-# Coefficients are ints when integral and Fractions otherwise.
-Terms = dict[Exponents, int | Fraction]
-# One basis element: (lead monomial, its support mask, monic tail terms).
-Reducer = tuple[Exponents, int, Terms]
+# Packed monomial -> coefficient; coefficients are ints when integral and
+# Fractions otherwise.
+Terms = dict[int, int | Fraction]
+# One basis element: (packed lead monomial, monic tail terms).
+Reducer = tuple[int, Terms]
 
 
 def _exact(c: int | Fraction) -> int | Fraction:
@@ -76,25 +68,20 @@ def _exact(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-# A packed monomial holds exponent i in bits [16i, 16i + 15) of one int; bit
-# 16i + 15 is a guard that stays 0, so per-field subtraction never borrows
-# from the next field.
-_EXP_LIMIT = 1 << 15
+_OVERFLOW = "exponent outside 0..32767, the range of a packed monomial"
 
 
 def _pack(exps: Exponents) -> int:
-    if max(exps, default=0) >= _EXP_LIMIT:
-        raise RingError(f"lead exponent {max(exps)} is over {_EXP_LIMIT - 1}, the limit of a packed lead")
-    return int.from_bytes(struct.pack(f"<{len(exps)}H", *exps), "little")
+    """The packed monomial; an exponent of 2^15 or more sets its field's guard
+    bit, which the engine rejects."""
+    try:
+        return int.from_bytes(struct.pack(f"<{len(exps)}H", *exps), "little")
+    except struct.error:  # an exponent below 0 or of 2^16 or more
+        raise RingError(_OVERFLOW) from None
 
 
 def _unpack(packed: int, nvars: int) -> Exponents:
     return struct.unpack(f"<{nvars}H", packed.to_bytes(2 * nvars, "little"))
-
-
-def _guard(nvars: int) -> int:
-    """The guard bits of every field."""
-    return int.from_bytes(b"\x00\x80" * nvars, "little")
 
 
 def _packed_lcm(a: int, b: int, guard: int) -> int:
@@ -110,67 +97,79 @@ def _packed_divides(a: int, b: int, guard: int) -> bool:
     return ((b | guard) - a) & guard == guard
 
 
-def _support_mask(exps: Exponents) -> int:
-    mask = 0
-    for i, e in enumerate(exps):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
 class _Engine:
     """Reduction state for one ring/order pair."""
 
     def __init__(self, ring: RingSpec, order: OrderSpec, budget: Budget):
         self.ring = ring
         self.budget = budget
-        self.guard = _guard(ring.nvars)
+        self.nvars = nvars = ring.nvars
+        # every field's guard bit, packed like an exponent of 2^15
+        self.guard = guard = _pack((1 << 15,) * nvars)
         raw_key = order.key_function(ring)
-        memo: dict[Exponents, tuple] = {}
+        memo: dict[int, tuple] = {}
 
-        def key(exps: Exponents) -> tuple:
-            k = memo.get(exps)
+        def key(m: int) -> tuple:
+            k = memo.get(m)
             if k is None:
-                k = raw_key(exps)
-                memo[exps] = k
+                k = memo[m] = raw_key(_unpack(m, nvars))
             return k
 
-        self.key = key
+        def pack(terms: Mapping[Exponents, int | Fraction]) -> Terms:
+            # the tuples are at hand here, so their keys seed the memo
+            out: Terms = {}
+            for e, c in terms.items():
+                m = _pack(e)
+                if m & guard:
+                    raise RingError(_OVERFLOW)
+                if m not in memo:
+                    memo[m] = raw_key(e)
+                out[m] = _exact(c)
+            return out
 
-    def reducer(self, terms: Mapping[Exponents, int | Fraction]) -> Reducer:
-        """The monic record of a nonzero polynomial."""
+        self.key = key
+        self.pack = pack
+
+    def unpack(self, terms: Terms) -> dict[Exponents, int | Fraction]:
+        return {_unpack(m, self.nvars): c for m, c in terms.items()}
+
+    def reducer(self, terms: Terms) -> Reducer:
+        """The monic record of a nonzero packed polynomial."""
         lead = max(terms, key=self.key)
         lc = terms[lead]
         if lc == 1:
-            tail = {e: _exact(c) for e, c in terms.items() if e != lead}
+            tail = {m: c for m, c in terms.items() if m != lead}
         elif lc == -1:
-            tail = {e: -_exact(c) for e, c in terms.items() if e != lead}
+            tail = {m: -c for m, c in terms.items() if m != lead}
         else:
             lc = Fraction(lc)
-            tail = {e: _exact(c / lc) for e, c in terms.items() if e != lead}
-        return lead, _support_mask(lead), tail
+            tail = {m: _exact(c / lc) for m, c in terms.items() if m != lead}
+        return lead, tail
 
-    def reduce_full(self, f: Mapping[Exponents, int | Fraction], reducers: Sequence[Reducer]) -> Terms:
-        """Full normal form of f against reducers, largest reducible term first.
+    def reduce_full(self, work: Terms, reducers: Sequence[Reducer]) -> Terms:
+        """Full normal form of work (consumed) against reducers, largest
+        reducible term first.
 
         The first divisor in list order wins, so the result is deterministic.
+        Fields of terms and quotients are below 2^15, so a product's overflow
+        sets only its guard bit, which the check on each popped term catches.
         """
         out: Terms = {}
-        work = {e: _exact(c) for e, c in f.items()}
         key = self.key
         tick = self.budget.tick
+        guard = self.guard
         while work:
             tick()
             m = max(work, key=key)
             c = work.pop(m)
-            mmask = _support_mask(m)
-            for lm, lmask, tail in reducers:
-                if lmask & ~mmask:
-                    continue
-                if mono_divides(lm, m):
-                    q = mono_div(m, lm)
+            if m & guard:
+                raise RingError(_OVERFLOW)
+            mg = m | guard
+            for lead, tail in reducers:
+                if (mg - lead) & guard == guard:
+                    q = m - lead
                     for tm, tc in tail.items():
-                        mm = mono_mul(tm, q)
+                        mm = tm + q
                         nc = work.get(mm, 0) - c * tc
                         if nc:
                             work[mm] = nc
@@ -178,20 +177,23 @@ class _Engine:
                             work.pop(mm, None)
                     break
             else:
-                out[m] = c
+                out[m] = _exact(c)
         return out
 
+    def degree(self, m: int) -> int:
+        return sum(_unpack(m, self.nvars))
 
-def _s_poly(f: Reducer, g: Reducer) -> Terms:
-    """S-polynomial of two monic records: the leads cancel, the tails remain."""
-    lmf, _, tail_f = f
-    lmg, _, tail_g = g
-    lcm = mono_lcm(lmf, lmg)
-    qf = mono_div(lcm, lmf)
-    qg = mono_div(lcm, lmg)
-    out = {mono_mul(e, qf): c for e, c in tail_f.items()}
-    for e, c in tail_g.items():
-        mm = mono_mul(e, qg)
+
+def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
+    """S-polynomial of two monic records whose leads have lcm ``lcm``: the
+    leads cancel, the tails remain."""
+    lead_f, tail_f = f
+    lead_g, tail_g = g
+    qf = lcm - lead_f
+    qg = lcm - lead_g
+    out = {m + qf: c for m, c in tail_f.items()}
+    for m, c in tail_g.items():
+        mm = m + qg
         nc = out.get(mm, 0) - c
         if nc:
             out[mm] = nc
@@ -216,7 +218,7 @@ def _normal_forms(
     basis: Sequence[Polynomial],
     order: OrderSpec | None = None,
     budget: Budget | None = None,
-) -> Iterator[Terms]:
+) -> Iterator[dict[Exponents, int | Fraction]]:
     """The normal form of each term dict f of ring against one basis, as
     term dicts, yielded as fs is read.
 
@@ -229,40 +231,33 @@ def _normal_forms(
             raise RingError("basis polynomial in a different ring")
         if g.is_zero():
             raise RingError("zero polynomial in reduction basis")
-    reducers = [engine.reducer(g.terms) for g in basis]
+    reducers = [engine.reducer(engine.pack(g.terms)) for g in basis]
     for f in fs:
-        yield engine.reduce_full(f, reducers)
+        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers))
 
 
 def _gm_update(
     engine: _Engine,
     basis: list[Reducer],
-    packed: list[int],
-    alive: dict[tuple[int, int], tuple[int, int]],
+    alive: dict[tuple[int, int], int],
     heap: list[tuple[int, int, int, int]],
     counter: list[int],
     new: Reducer,
 ) -> None:
     """Add a record to the basis, updating pairs per Gebauer-Moeller.
 
-    ``packed`` holds each basis lead packed into one int.  ``alive`` maps
-    each live pair to its packed lcm and the lcm's support mask, so the chain
-    criterion reads them instead of recomputing them; the newcomer's lcms are
-    computed once.  An lcm's support is the union of its two leads' supports,
-    so its mask is the OR of theirs, and a monomial whose mask is not inside
-    it cannot divide it (Bachmann-Schoenemann).
+    ``alive`` maps each live pair to its lcm, so the chain criterion and the
+    S-polynomial read it instead of recomputing it; the newcomer's lcms are
+    computed once.
     """
     t = len(basis)
-    lmf, fmask, _ = new
-    pf = _pack(lmf)
+    lf = new[0]
     guard = engine.guard
-    new_lcms = [_packed_lcm(p, pf, guard) for p in packed]
+    new_lcms = [_packed_lcm(lead, lf, guard) for lead, _ in basis]
 
     # chain criterion: drop old pairs strictly dominated by the newcomer
-    for (i, j), (lcm_ij, mask_ij) in list(alive.items()):
-        if fmask & ~mask_ij:
-            continue
-        if _packed_divides(pf, lcm_ij, guard) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
+    for (i, j), lcm_ij in list(alive.items()):
+        if _packed_divides(lf, lcm_ij, guard) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
             del alive[i, j]
 
     # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
@@ -270,28 +265,28 @@ def _gm_update(
     lcm_groups: dict[int, list[int]] = {}
     for i, lcm in enumerate(new_lcms):
         lcm_groups.setdefault(lcm, []).append(i)
-    minimal: list[tuple[int, int]] = []
+    minimal: list[int] = []
     for lcm in sorted(lcm_groups):
-        mask = basis[lcm_groups[lcm][0]][1] | fmask
-        if all(pmask & ~mask or not _packed_divides(prev, lcm, guard) for prev, pmask in minimal):
-            minimal.append((lcm, mask))
+        # not _packed_divides(prev, lcm, guard), inlined in this quadratic scan
+        lg = lcm | guard
+        if all((lg - prev) & guard != guard for prev in minimal):
+            minimal.append(lcm)
+    key = engine.key
     pushed = []
-    for lcm, mask in minimal:
+    for lcm in minimal:
         group = lcm_groups[lcm]
         # coprime criterion: if any pair in the group has coprime leads, all
         # pairs with this lcm are redundant
-        if all(basis[i][1] & fmask for i in group):
-            pushed.append((_unpack(lcm, len(lmf)), lcm, mask, min(group)))
+        if all(basis[i][0] + lf != lcm for i in group):
+            pushed.append((key(lcm), lcm, min(group)))
     # FIFO ties among equal degrees follow the term order of the lcms
-    key = engine.key
-    pushed.sort(key=lambda item: key(item[0]))
-    for exps, lcm, mask, i in pushed:
+    pushed.sort()
+    for _, lcm, i in pushed:
         counter[0] += 1
-        alive[i, t] = (lcm, mask)
-        heapq.heappush(heap, (sum(exps), counter[0], i, t))
+        alive[i, t] = lcm
+        heapq.heappush(heap, (engine.degree(lcm), counter[0], i, t))
 
     basis.append(new)
-    packed.append(pf)
 
 
 def buchberger(
@@ -311,29 +306,29 @@ def buchberger(
     engine = _Engine(ring, order, budget or _NO_BUDGET)
 
     basis: list[Reducer] = []
-    packed: list[int] = []
-    alive: dict[tuple[int, int], tuple[int, int]] = {}
+    alive: dict[tuple[int, int], int] = {}
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
-        _gm_update(engine, basis, packed, alive, heap, counter, engine.reducer(g.terms))
+        _gm_update(engine, basis, alive, heap, counter, engine.reducer(engine.pack(g.terms)))
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if alive.pop((i, j), None) is None:
+        lcm = alive.pop((i, j), None)
+        if lcm is None:
             continue
         engine.budget.tick()
-        s = _s_poly(basis[i], basis[j])
+        s = _s_poly(basis[i], basis[j], lcm)
         if not s:
             continue
         r = engine.reduce_full(s, basis)
         if r:
-            _gm_update(engine, basis, packed, alive, heap, counter, engine.reducer(r))
+            _gm_update(engine, basis, alive, heap, counter, engine.reducer(r))
 
-    return _reduce_basis(engine, basis, packed)
+    return _reduce_basis(engine, basis)
 
 
-def _reduce_basis(engine: _Engine, basis: list[Reducer], packed: list[int]) -> tuple[Polynomial, ...]:
+def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:
     """Minimalize then interreduce, returning the unique reduced basis.
 
     The minimal records are taken in ascending lead order.  A later lead is
@@ -344,14 +339,12 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer], packed: list[int]) -> t
     key = engine.key
     guard = engine.guard
     minimal: list[Reducer] = []
-    minimal_packed: list[int] = []
-    for rec, p in sorted(zip(basis, packed), key=lambda item: key(item[0][0])):
-        if all(not _packed_divides(prev, p, guard) for prev in minimal_packed):
+    for rec in sorted(basis, key=lambda rec: key(rec[0])):
+        if all(not _packed_divides(prev, rec[0], guard) for prev, _ in minimal):
             minimal.append(rec)
-            minimal_packed.append(p)
     return tuple(
-        Polynomial(engine.ring, engine.reduce_full({lead: 1, **tail}, minimal[:pos]))
-        for pos, (lead, _, tail) in enumerate(minimal)
+        Polynomial(engine.ring, engine.unpack(engine.reduce_full({lead: 1, **tail}, minimal[:pos])))
+        for pos, (lead, tail) in enumerate(minimal)
     )
 
 
@@ -371,23 +364,24 @@ def is_groebner_basis(
     ring = polys[0].ring
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or _NO_BUDGET)
-    records = [engine.reducer(g.terms) for g in polys]
+    records = [engine.reducer(engine.pack(g.terms)) for g in polys]
 
     pairs = []
-    for i, (lmi, maski, _) in enumerate(records):
+    for i, (lead_i, _) in enumerate(records):
         for j in range(i + 1, len(records)):
-            lmj, maskj, _ = records[j]
-            if maski & maskj:
-                pairs.append((sum(mono_lcm(lmi, lmj)), i, j))
+            lead_j = records[j][0]
+            lcm = _packed_lcm(lead_i, lead_j, engine.guard)
+            if lcm != lead_i + lead_j:
+                pairs.append((engine.degree(lcm), i, j, lcm))
     pairs.sort()
-    for _, i, j in pairs:
+    for _, i, j, lcm in pairs:
         engine.budget.tick()
-        s = _s_poly(records[i], records[j])
+        s = _s_poly(records[i], records[j], lcm)
         if not s:
             continue
         r = engine.reduce_full(s, records)
         if r:
-            return False, (i, j, Polynomial(ring, r))
+            return False, (i, j, Polynomial(ring, engine.unpack(r)))
     return True, None
 
 

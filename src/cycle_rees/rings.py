@@ -152,6 +152,8 @@ class Polynomial:
     def __init__(self, ring: RingSpec, terms: Mapping[Exponents, Fraction]):
         if any(len(exps) != ring.nvars for exps in terms):
             raise RingError("exponent vector length does not match ring")
+        if any(min(exps, default=0) < 0 for exps in terms):
+            raise RingError("negative exponent")
         self.ring = ring
         self._terms = {e: Fraction(c) for e, c in terms.items() if c}
         self._hash: int | None = None

@@ -23,7 +23,7 @@ import run  # noqa: E402  (perfbench/run.py)
 import selftest  # noqa: E402  (perfbench/selftest.py)
 
 DIGESTS = json.loads((PERFBENCH / "rees_digests.json").read_text())
-CELLS = [(n, t) for n in range(3, 9) for t in range(1, n)]
+CELLS = sorted(tuple(map(int, cell.split(","))) for cell in DIGESTS)
 
 
 def test_selftest_pins_hold():

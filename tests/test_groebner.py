@@ -12,11 +12,9 @@ from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
     Ideal,
-    _guard,
     _pack,
     _packed_divides,
     _packed_lcm,
-    _support_mask,
     _unpack,
     buchberger,
     eliminate,
@@ -288,17 +286,6 @@ def test_reduced_basis_ignores_generator_scaling(scaled, fractional_gen):
     assert_reduced_shape(gb, order)
 
 
-exps6 = st.tuples(*([st.integers(min_value=0, max_value=2)] * 6))
-
-
-@given(exps6, exps6)
-def test_lcm_mask_facts(a, b):
-    # the pair criteria read an lcm's mask as the OR of the leads' masks, and
-    # take disjoint masks to mean the lcm is the product (coprime leads)
-    assert _support_mask(mono_lcm(a, b)) == _support_mask(a) | _support_mask(b)
-    assert (mono_lcm(a, b) == mono_mul(a, b)) == (not _support_mask(a) & _support_mask(b))
-
-
 # exponents from both ends of a packed field, so that divisibility is common
 field = st.one_of(st.sampled_from([0, 1, 2, 2**15 - 2, 2**15 - 1]), st.integers(min_value=0, max_value=2**15 - 1))
 packable = st.tuples(*([field] * 5))
@@ -306,11 +293,13 @@ packable = st.tuples(*([field] * 5))
 
 @given(packable, packable)
 def test_packed_kernels_match_tuple_kernels(a, b):
-    guard = _guard(len(a))
+    guard = _pack((2**15,) * len(a))
     pa, pb = _pack(a), _pack(b)
     assert _unpack(pa, len(a)) == a
     assert _unpack(_packed_lcm(pa, pb, guard), len(a)) == mono_lcm(a, b)
     assert _packed_divides(pa, pb, guard) == mono_divides(a, b)
+    # the coprime criterion: the packed lcm is the sum exactly for coprime leads
+    assert (_packed_lcm(pa, pb, guard) == pa + pb) == (mono_lcm(a, b) == mono_mul(a, b))
     # int order extends divisibility, so sorting packed lcms meets divisors first
     assert not mono_divides(a, b) or pa <= pb
     assert pa <= _pack(mono_lcm(a, b))
@@ -321,5 +310,23 @@ def test_packed_lead_exponent_limit():
     order = OrderSpec(((("X",), "grevlex"),))
     top = Polynomial.monomial(ring, (2**15 - 1, 0))
     assert buchberger([top], order) == (top,)
+    assert normal_form(top, [Polynomial.monomial(ring, (0, 1))], order) == top
+    for e in (2**15, 2**16):
+        big = Polynomial.monomial(ring, (1, e))
+        with pytest.raises(RingError, match="32767"):
+            buchberger([big], order)
+        with pytest.raises(RingError, match="32767"):
+            normal_form(big, [top], order)
+        with pytest.raises(RingError, match="32767"):
+            normal_form(top, [big], order)
     with pytest.raises(RingError, match="32767"):
-        buchberger([Polynomial.monomial(ring, (1, 2**15))], order)
+        _pack((0, -1))
+    # a product past the limit: b*a^32766 -> a^2 * a^32766 under lex with b > a
+    ring = RingSpec((("X", ("b", "a")),))
+    order = OrderSpec(((("X",), "lex"),))
+    f = parse_polynomial(ring, "b*a^32766")
+    g = parse_polynomial(ring, "b - a^2")
+    with pytest.raises(RingError, match="32767"):
+        normal_form(f, [g], order)
+    with pytest.raises(RingError, match="32767"):
+        buchberger([f, g], order)

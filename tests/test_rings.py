@@ -61,6 +61,15 @@ def test_ring_mismatch_raises():
         P("x1") + parse_polynomial(cycle_ring(5), "x1")
 
 
+def test_negative_exponent_rejected():
+    # a^2*b^-1 is no polynomial: its text would drop the b^-1 factor
+    ring = RingSpec((("X", ("a", "b")),))
+    with pytest.raises(RingError, match="negative exponent"):
+        Polynomial(ring, {(2, -1): 1, (0, 0): 1})
+    with pytest.raises(RingError, match="negative exponent"):
+        Polynomial.monomial(ring, (0, -1))
+
+
 def test_text_roundtrip_and_canonical_order():
     p = P("x5*y1 - x1*y2")
     assert p.to_text() == "x5*y1 - x1*y2"
