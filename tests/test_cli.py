@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cycle_rees
+import cycle_rees.cli as cli
 from cycle_rees.cli import run
 from cycle_rees.rings import Polynomial
 
@@ -127,6 +132,34 @@ def test_invariant_failure_exits_1(monkeypatch, capsys):
     assert "Pfaffian does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "text",
+            "groebner basis: NO\n"
+            "squarefree initial ideal: yes\n"
+            "x-condition: yes\n"
+            "offending pair 0,1 with remainder x5*y1 - x1*y2\n",
+        ),
+        (
+            "json",
+            '{"certificate": {"basis": ["x5*y1 - x1*y2", "x0*y2 - x2*y3", "x1*y3 - x3*y4", "x2*y4 - x4*y5", '
+            '"x3*y5 - x5*y0", "x0*y1 - x4*y0", "x2*y1*y3 - x4*y0*y2", "x4*y1*y3*y5 - x4*y0*y2*y4", '
+            '"y1*y3*y5 - y0*y2*y4"], "order": [{"base": "grevlex", "blocks": ["Y"]}, {"base": "lex", "blocks": ["X"]}]}, '
+            '"failure": {"pair": [0, 1], "remainder": "x5*y1 - x1*y2"}, "family": "n2", "groebner": false, "n": 6, '
+            '"squarefree_initial": true, "x_condition": true}\n',
+        ),
+    ],
+)
+def test_verify_gb_failure_exits_1(monkeypatch, fmt, expected):
+    # Both named families are bases, so only a patched check reaches the failure rendering.
+    monkeypatch.setattr(cli, "is_groebner_basis", lambda polys, order, budget: (False, (0, 1, polys[0])))
+    code, out = invoke("verify-gb", "--family", "n2", "--n", "6", "--format", fmt)
+    assert code == 1
+    assert out == expected
+
+
 def test_budget_env_var(monkeypatch, capsys):
     for bad in ("abc", "0", "-1"):
         monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", bad)
@@ -179,6 +212,24 @@ GOLDEN_CLI = {
     "verify_gb_half_10.json": ["verify-gb", "--family", "half", "--n", "10", "--format", "json"],
     "pfaffian_8.txt": ["pfaffian", "--n", "8"],
     "classify_8_3.json": ["classify", "--n", "8", "--t", "3", "--format", "json"],
+    "classify_8_3.txt": ["classify", "--n", "8", "--t", "3"],
+    "classify_8_3.csv": ["classify", "--n", "8", "--t", "3", "--format", "csv"],
+    "fiber_dim_8_6.txt": ["fiber-dim", "--n", "8", "--t", "6"],
+    "fiber_dim_8_6.json": ["fiber-dim", "--n", "8", "--t", "6", "--format", "json"],
+    "fiber_dim_8_6_rank.txt": ["fiber-dim", "--n", "8", "--t", "6", "--check-rank"],
+    "fiber_dim_8_6_rank.json": ["fiber-dim", "--n", "8", "--t", "6", "--check-rank", "--format", "json"],
+    "hilbert_8_verify.txt": ["hilbert", "--n", "8", "--verify"],
+    "cm_type_9.json": ["cm-type", "--n", "9", "--format", "json"],
+    "verify_gb_n2_8.txt": ["verify-gb", "--family", "n2", "--n", "8"],
+    "verify_gb_half_10.txt": ["verify-gb", "--family", "half", "--n", "10"],
+    "pfaffian_8.json": ["pfaffian", "--n", "8", "--format", "json"],
+    "ideal_6_2_path.txt": ["ideal", "--n", "6", "--t", "2", "--which", "path"],
+    "ideal_6_2_path.json": ["ideal", "--n", "6", "--t", "2", "--which", "path", "--format", "json"],
+    "ideal_6_2_sym.txt": ["ideal", "--n", "6", "--t", "2", "--which", "sym"],
+    "ideal_6_2_sym.json": ["ideal", "--n", "6", "--t", "2", "--which", "sym", "--format", "json"],
+    "ideal_5_2_fiber.txt": ["ideal", "--n", "5", "--t", "2", "--which", "fiber"],
+    "ideal_8_6_family.txt": ["ideal", "--n", "8", "--t", "6", "--which", "family"],
+    "ideal_8_4_family.json": ["ideal", "--n", "8", "--t", "4", "--which", "family", "--format", "json"],
 }
 
 
@@ -187,3 +238,21 @@ def test_cli_output_matches_golden(name):
     code, out = invoke(*GOLDEN_CLI[name])
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["classify", "--n", "4", "--t", "2"], 0, "fiber\n", ""),
+        (["classify", "--n", "6"], 2, "", "usage: cycle-rees classify"),
+        (["classify", "--n", "9", "--t", "5", "--budget-secs", "0.000001"], 3, "timeout\n", ""),
+        (["cm-type", "--n", "9", "--budget-secs", "0.000001"], 3, "budget exceeded\n", ""),
+    ],
+)
+def test_module_entry_point(argv, code, stdout, stderr):
+    src = str(Path(cycle_rees.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cycle_rees", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == stdout
+    assert proc.stderr.startswith(stderr) if stderr else proc.stderr == ""
