@@ -289,6 +289,13 @@ def _gm_update(
     basis.append(new)
 
 
+def _common_ring(polys: Sequence[Polynomial]) -> RingSpec:
+    ring = polys[0].ring
+    if any(g.ring != ring for g in polys):
+        raise RingError("generators live in different rings")
+    return ring
+
+
 def buchberger(
     generators: Sequence[Polynomial],
     order: OrderSpec | None = None,
@@ -298,10 +305,7 @@ def buchberger(
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return ()
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise RingError("generators live in different rings")
+    ring = _common_ring(gens)
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or _NO_BUDGET)
 
@@ -361,7 +365,7 @@ def is_groebner_basis(
     polys = [g for g in basis if not g.is_zero()]
     if not polys:
         return True, None
-    ring = polys[0].ring
+    ring = _common_ring(polys)
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or _NO_BUDGET)
     records = [engine.reducer(engine.pack(g.terms)) for g in polys]

@@ -250,14 +250,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def scale(self, c: Fraction) -> "Polynomial":
         if c == 0:
             return Polynomial.zero(self.ring)
@@ -389,7 +381,10 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
         while i < len(tokens):
             kind, value = tokens[i]
             if kind == "num":
-                coeff *= Fraction(value)
+                try:
+                    coeff *= Fraction(value)
+                except ZeroDivisionError:
+                    raise RingError(f"zero denominator in {value!r}") from None
             elif kind == "name":
                 if value not in ring.var_index:
                     raise RingError(f"unknown variable {value!r}")

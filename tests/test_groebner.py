@@ -121,6 +121,13 @@ def test_is_groebner_basis_certificate_on_gap():
     assert ok_full
 
 
+@pytest.mark.parametrize("names, other", [(("c", "d"), "c*d - d"), (("c", "d", "e"), "e^2 - c")])
+def test_is_groebner_basis_rejects_mixed_rings(names, other):
+    ab = RingSpec((("X", ("a", "b")),))
+    with pytest.raises(RingError, match="different rings"):
+        is_groebner_basis([parse_polynomial(ab, "a^2 - b"), parse_polynomial(RingSpec((("X", names),)), other)])
+
+
 def test_membership_examples(rees_cache, sym_cache):
     ring = cycle_ring(6)
     order = product_order(ring)

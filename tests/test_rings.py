@@ -53,7 +53,7 @@ def test_zero_absorbs():
 
 def test_scalar_and_pow():
     assert P("x1") * 3 == P("3*x1")
-    assert P("x1 + y1") ** 2 == P("x1^2 + 2*x1*y1 + y1^2")
+    assert P("x1 + y1") * P("x1 + y1") == P("x1^2 + 2*x1*y1 + y1^2")
 
 
 def test_ring_mismatch_raises():
@@ -86,6 +86,11 @@ def test_parse_whitespace_and_powers():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(RingError):
         P("z1 + y1")
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(RingError):
+        P("1/0 * x1")
 
 
 def test_extend_and_project():
