@@ -132,32 +132,50 @@ def test_invariant_failure_exits_1(monkeypatch, capsys):
     assert "Pfaffian does not match" in capsys.readouterr().err
 
 
+GB_FAILURE_JSON = (
+    '{"certificate": {"basis": ["x5*y1 - x1*y2", "x0*y2 - x2*y3", "x1*y3 - x3*y4", "x2*y4 - x4*y5", '
+    '"x3*y5 - x5*y0", "x0*y1 - x4*y0", "x2*y1*y3 - x4*y0*y2", "x4*y1*y3*y5 - x4*y0*y2*y4", '
+    '"y1*y3*y5 - y0*y2*y4"], "order": [{"base": "grevlex", "blocks": ["Y"]}, {"base": "lex", "blocks": ["X"]}]}, '
+    '"failure": {"pair": [0, 1], "remainder": "x5*y1 - x1*y2"}, "family": "n2", "groebner": false, "n": 6, '
+    '"squarefree_initial": true, "x_condition": true}\n'
+)
+
+
+# The real checks pass on every cell the CLI accepts, so only a patched check
+# reaches the failure rendering.
 @pytest.mark.parametrize(
-    "fmt, expected",
+    "name, fake, argv, text, json_text",
     [
         (
-            "text",
+            "is_groebner_basis",
+            lambda polys, order, budget: (False, (0, 1, polys[0])),
+            ["verify-gb", "--family", "n2", "--n", "6"],
             "groebner basis: NO\n"
             "squarefree initial ideal: yes\n"
             "x-condition: yes\n"
             "offending pair 0,1 with remainder x5*y1 - x1*y2\n",
+            GB_FAILURE_JSON,
         ),
         (
-            "json",
-            '{"certificate": {"basis": ["x5*y1 - x1*y2", "x0*y2 - x2*y3", "x1*y3 - x3*y4", "x2*y4 - x4*y5", '
-            '"x3*y5 - x5*y0", "x0*y1 - x4*y0", "x2*y1*y3 - x4*y0*y2", "x4*y1*y3*y5 - x4*y0*y2*y4", '
-            '"y1*y3*y5 - y0*y2*y4"], "order": [{"base": "grevlex", "blocks": ["Y"]}, {"base": "lex", "blocks": ["X"]}]}, '
-            '"failure": {"pair": [0, 1], "remainder": "x5*y1 - x1*y2"}, "family": "n2", "groebner": false, "n": 6, '
-            '"squarefree_initial": true, "x_condition": true}\n',
+            "verify_hilbert",
+            lambda n, budget: False,
+            ["hilbert", "--n", "4", "--verify"],
+            "(1 + 3*z + z^2) / (1-z)^5\ninitial-ideal recomputation: MISMATCH\n",
+            '{"denom_power": 5, "numerator": [1, 3, 1], "verified": false}\n',
+        ),
+        (
+            "circulant_rank",
+            lambda n, t: 0,
+            ["fiber-dim", "--n", "6", "--t", "3", "--check-rank"],
+            "4 (rank check: FAILED)\n",
+            '{"fiber_dim": 4, "rank": 0, "rank_check": false}\n',
         ),
     ],
 )
-def test_verify_gb_failure_exits_1(monkeypatch, fmt, expected):
-    # Both named families are bases, so only a patched check reaches the failure rendering.
-    monkeypatch.setattr(cli, "is_groebner_basis", lambda polys, order, budget: (False, (0, 1, polys[0])))
-    code, out = invoke("verify-gb", "--family", "n2", "--n", "6", "--format", fmt)
-    assert code == 1
-    assert out == expected
+def test_failed_check_exits_1(monkeypatch, name, fake, argv, text, json_text):
+    monkeypatch.setattr(cli, name, fake)
+    assert invoke(*argv) == (1, text)
+    assert invoke(*argv, "--format", "json") == (1, json_text)
 
 
 def test_budget_env_var(monkeypatch, capsys):
