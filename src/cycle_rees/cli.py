@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library operations; all output is
+Subcommands map one-to-one onto the library operations and return (JSON
+payload, text, exit code); `run` alone renders and writes.  All output is
 deterministic (JSON keys sorted, polynomials in canonical order).  Exit
 codes: 0 success, 1 mathematical assertion failed, 2 usage error, 3 budget
 exceeded.
@@ -10,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 
 from .classify import (
-    ClassRecord,
     circulant_rank,
     classification_table,
     classify,
@@ -126,82 +125,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_records(records: list[ClassRecord], fmt: str, timings: bool, out) -> None:
-    if fmt == "text":
-        out.write(render_table(records))
-    elif fmt == "json":
-        payload = [r.to_json(include_ms=timings) for r in records]
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "t", "class", "gcd", "fiber_dim"])
-        for r in records:
-            writer.writerow([r.n, r.t, r.klass, r.gcd, r.fiber_dim])
-        out.write(buf.getvalue())
-
-
-def _cmd_classify(args, out) -> int:
+def _cmd_classify(args):
     record = classify(args.n, args.t, budget_secs=_budget_secs(args))
-    if args.format == "text":
-        out.write(record.klass + "\n")
-    else:
-        _emit_records([record], args.format, args.timings, out)
-    return EXIT_BUDGET if record.klass == "timeout" else EXIT_OK
+    code = EXIT_BUDGET if record.klass == "timeout" else EXIT_OK
+    return [record.to_json(include_ms=args.timings)], record.klass + "\n", code
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args):
     records = classification_table(args.n_min, args.n_max, budget_secs=_budget_secs(args), jobs=args.jobs)
-    _emit_records(records, args.format, args.timings, out)
-    return EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
+    code = EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
+    return [r.to_json(include_ms=args.timings) for r in records], render_table(records), code
 
 
-def _cmd_fiber_dim(args, out) -> int:
+def _cmd_fiber_dim(args):
     dim = fiber_dimension(args.n, args.t)
-    if args.check_rank:
-        rank = circulant_rank(args.n, args.t)
-        ok = rank == dim
-        if args.format == "json":
-            out.write(json.dumps({"fiber_dim": dim, "rank": rank, "rank_check": ok}, sort_keys=True) + "\n")
-        else:
-            out.write(f"{dim} (rank check: {'ok' if ok else 'FAILED'})\n")
-        return EXIT_OK if ok else EXIT_ASSERTION
-    if args.format == "json":
-        out.write(json.dumps({"fiber_dim": dim}, sort_keys=True) + "\n")
-    else:
-        out.write(f"{dim}\n")
-    return EXIT_OK
+    if not args.check_rank:
+        return {"fiber_dim": dim}, f"{dim}\n", EXIT_OK
+    rank = circulant_rank(args.n, args.t)
+    ok = rank == dim
+    text = f"{dim} (rank check: {'ok' if ok else 'FAILED'})\n"
+    return {"fiber_dim": dim, "rank": rank, "rank_check": ok}, text, EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _cmd_hilbert(args, out) -> int:
+def _cmd_hilbert(args):
     series = hilbert_closed_form_n_minus_2(args.n)
-    verified = None
-    if args.verify:
-        verified = verify_hilbert(args.n, Budget(seconds=_budget_secs(args)))
-    if args.format == "json":
-        payload = series.to_json()
-        if verified is not None:
-            payload["verified"] = verified
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        out.write(str(series) + "\n")
-        if verified is not None:
-            out.write(f"initial-ideal recomputation: {'match' if verified else 'MISMATCH'}\n")
-    if verified is False:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    if not args.verify:
+        return series.to_json(), f"{series}\n", EXIT_OK
+    verified = verify_hilbert(args.n, Budget(seconds=_budget_secs(args)))
+    text = f"{series}\ninitial-ideal recomputation: {'match' if verified else 'MISMATCH'}\n"
+    return {**series.to_json(), "verified": verified}, text, EXIT_OK if verified else EXIT_ASSERTION
 
 
-def _cmd_cm_type(args, out) -> int:
+def _cmd_cm_type(args):
     value = cm_type_odd(args.n, Budget(seconds=_budget_secs(args)))
-    if args.format == "json":
-        out.write(json.dumps({"cm_type": value, "n": args.n}, sort_keys=True) + "\n")
-    else:
-        out.write(f"{value}\n")
-    return EXIT_OK
+    return {"cm_type": value, "n": args.n}, f"{value}\n", EXIT_OK
 
 
-def _cmd_verify_gb(args, out) -> int:
+def _cmd_verify_gb(args):
     fam = family_n_minus_2(args.n) if args.family == "n2" else family_half(args.n)
     polys = list(fam.values())
     order = product_order(polys[0].ring)
@@ -209,38 +169,33 @@ def _cmd_verify_gb(args, out) -> int:
     ini = MonomialIdeal.from_exponents(polys[0].ring, [leading_term(order, g)[0] for g in polys])
     squarefree = is_squarefree(ini)
     xcond = x_condition(ini)
-    if args.format == "json":
-        payload = {
-            "family": args.family,
-            "n": args.n,
-            "groebner": ok,
-            "squarefree_initial": squarefree,
-            "x_condition": xcond,
-            "certificate": gb_certificate(polys, order),
-        }
-        if cert is not None:
-            payload["failure"] = {"pair": [cert[0], cert[1]], "remainder": cert[2].to_text()}
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        out.write(f"groebner basis: {'yes' if ok else 'NO'}\n")
-        out.write(f"squarefree initial ideal: {'yes' if squarefree else 'NO'}\n")
-        out.write(f"x-condition: {'yes' if xcond else 'NO'}\n")
-        if cert is not None:
-            out.write(f"offending pair {cert[0]},{cert[1]} with remainder {cert[2].to_text()}\n")
-    return EXIT_OK if ok else EXIT_ASSERTION
+    payload = {
+        "family": args.family,
+        "n": args.n,
+        "groebner": ok,
+        "squarefree_initial": squarefree,
+        "x_condition": xcond,
+        "certificate": gb_certificate(polys, order),
+    }
+    text = (
+        f"groebner basis: {'yes' if ok else 'NO'}\n"
+        f"squarefree initial ideal: {'yes' if squarefree else 'NO'}\n"
+        f"x-condition: {'yes' if xcond else 'NO'}\n"
+    )
+    if cert is not None:
+        i, j, remainder = cert
+        payload["failure"] = {"pair": [i, j], "remainder": remainder.to_text()}
+        text += f"offending pair {i},{j} with remainder {remainder.to_text()}\n"
+    return payload, text, EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _cmd_pfaffian(args, out) -> int:
+def _cmd_pfaffian(args):
     sign, pf = pfaffian_fiber_sign(args.n)
-    if args.format == "json":
-        out.write(json.dumps({"n": args.n, "pfaffian": pf.to_text(), "sign_vs_fiber_relation": sign}, sort_keys=True) + "\n")
-    else:
-        out.write(f"Pf(A) = {pf.to_text()}\n")
-        out.write(f"equals {'+' if sign > 0 else '-'}(fiber relation)\n")
-    return EXIT_OK
+    payload = {"n": args.n, "pfaffian": pf.to_text(), "sign_vs_fiber_relation": sign}
+    return payload, f"Pf(A) = {pf.to_text()}\nequals {'+' if sign > 0 else '-'}(fiber relation)\n", EXIT_OK
 
 
-def _cmd_ideal(args, out) -> int:
+def _cmd_ideal(args):
     spec = PathIdealSpec(args.n, args.t)
     budget = Budget(seconds=_budget_secs(args))
     if args.which == "path":
@@ -258,26 +213,19 @@ def _cmd_ideal(args, out) -> int:
             fam = family_half(args.n)
         else:
             raise UsageError("--which family needs t = n-2 or t = n/2")
-        if args.format == "json":
-            out.write(json.dumps({name: p.to_text() for name, p in fam.items()}, sort_keys=True, indent=2) + "\n")
-        else:
-            for name, p in fam.items():
-                out.write(f"{name} = {p.to_text()}\n")
-        return EXIT_OK
+        texts = {name: p.to_text() for name, p in fam.items()}
+        return texts, "".join(f"{name} = {text}\n" for name, text in texts.items()), EXIT_OK
     texts = [g.to_text() for g in ideal.generators]
-    if args.format == "json":
-        out.write(json.dumps({"generators": texts}, sort_keys=True, indent=2) + "\n")
-    else:
-        if not texts:
-            out.write("0\n")
-        for text in texts:
-            out.write(text + "\n")
-    return EXIT_OK
+    return {"generators": texts}, "".join(f"{text}\n" for text in texts) or "0\n", EXIT_OK
 
 
 class UsageError(Exception):
     """Usage error discovered after argument parsing."""
 
+
+# commands whose JSON holds a list of records or generators print one per line
+_INDENTED_JSON = {"classify", "table", "ideal"}
+_CSV_FIELDS = ("n", "t", "class", "gcd", "fiber_dim")
 
 _COMMANDS = {
     "classify": _cmd_classify,
@@ -299,7 +247,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, out)
+        payload, text, code = _COMMANDS[args.command](args)
     except BudgetExceeded:
         out.write("budget exceeded\n")
         return EXIT_BUDGET
@@ -309,6 +257,16 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        indent = 2 if args.command in _INDENTED_JSON else None
+        out.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+    elif args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_CSV_FIELDS)
+        writer.writerows([record[field] for field in _CSV_FIELDS] for record in payload)
+    else:
+        out.write(text)
+    return code
 
 
 def main() -> None:
