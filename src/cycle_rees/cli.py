@@ -45,6 +45,8 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+_Result = tuple[object, str, int]
+
 
 BUDGET_ENV = "CYCLE_REES_BUDGET_SECS"
 
@@ -125,19 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args):
+def _cmd_classify(args) -> _Result:
     record = classify(args.n, args.t, budget_secs=_budget_secs(args))
     code = EXIT_BUDGET if record.klass == "timeout" else EXIT_OK
     return [record.to_json(include_ms=args.timings)], record.klass + "\n", code
 
 
-def _cmd_table(args):
+def _cmd_table(args) -> _Result:
     records = classification_table(args.n_min, args.n_max, budget_secs=_budget_secs(args), jobs=args.jobs)
     code = EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
     return [r.to_json(include_ms=args.timings) for r in records], render_table(records), code
 
 
-def _cmd_fiber_dim(args):
+def _cmd_fiber_dim(args) -> _Result:
     dim = fiber_dimension(args.n, args.t)
     if not args.check_rank:
         return {"fiber_dim": dim}, f"{dim}\n", EXIT_OK
@@ -147,7 +149,7 @@ def _cmd_fiber_dim(args):
     return {"fiber_dim": dim, "rank": rank, "rank_check": ok}, text, EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _cmd_hilbert(args):
+def _cmd_hilbert(args) -> _Result:
     series = hilbert_closed_form_n_minus_2(args.n)
     if not args.verify:
         return series.to_json(), f"{series}\n", EXIT_OK
@@ -156,12 +158,12 @@ def _cmd_hilbert(args):
     return {**series.to_json(), "verified": verified}, text, EXIT_OK if verified else EXIT_ASSERTION
 
 
-def _cmd_cm_type(args):
+def _cmd_cm_type(args) -> _Result:
     value = cm_type_odd(args.n, Budget(seconds=_budget_secs(args)))
     return {"cm_type": value, "n": args.n}, f"{value}\n", EXIT_OK
 
 
-def _cmd_verify_gb(args):
+def _cmd_verify_gb(args) -> _Result:
     fam = family_n_minus_2(args.n) if args.family == "n2" else family_half(args.n)
     polys = list(fam.values())
     order = product_order(polys[0].ring)
@@ -189,13 +191,13 @@ def _cmd_verify_gb(args):
     return payload, text, EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _cmd_pfaffian(args):
+def _cmd_pfaffian(args) -> _Result:
     sign, pf = pfaffian_fiber_sign(args.n)
     payload = {"n": args.n, "pfaffian": pf.to_text(), "sign_vs_fiber_relation": sign}
     return payload, f"Pf(A) = {pf.to_text()}\nequals {'+' if sign > 0 else '-'}(fiber relation)\n", EXIT_OK
 
 
-def _cmd_ideal(args):
+def _cmd_ideal(args) -> _Result:
     spec = PathIdealSpec(args.n, args.t)
     budget = Budget(seconds=_budget_secs(args))
     if args.which == "path":
@@ -225,7 +227,6 @@ class UsageError(Exception):
 
 # commands whose JSON holds a list of records or generators print one per line
 _INDENTED_JSON = {"classify", "table", "ideal"}
-_CSV_FIELDS = ("n", "t", "class", "gcd", "fiber_dim")
 
 _COMMANDS = {
     "classify": _cmd_classify,
@@ -261,9 +262,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
         indent = 2 if args.command in _INDENTED_JSON else None
         out.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        writer.writerows([record[field] for field in _CSV_FIELDS] for record in payload)
+        writer = csv.DictWriter(out, ("n", "t", "class", "gcd", "fiber_dim"), extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(payload)
     else:
         out.write(text)
     return code
