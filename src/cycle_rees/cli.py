@@ -225,7 +225,7 @@ class UsageError(Exception):
     """Usage error discovered after argument parsing."""
 
 
-# commands whose JSON holds a list of records or generators print one per line
+# JSON of records and generators is indented, one item per line; the rest is compact
 _INDENTED_JSON = {"classify", "table", "ideal"}
 
 _COMMANDS = {
