@@ -250,8 +250,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     try:
         payload, text, code = _COMMANDS[args.command](args)
     except BudgetExceeded:
-        out.write("budget exceeded\n")
-        return EXIT_BUDGET
+        payload, text, code = {"error": "budget exceeded"}, "budget exceeded\n", EXIT_BUDGET
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import struct
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -389,13 +388,8 @@ def is_groebner_basis(
     return True, None
 
 
-@dataclass
 class Ideal:
     """Generators plus a per-order cache of reduced Groebner bases."""
-
-    ring: RingSpec
-    generators: tuple[Polynomial, ...]
-    _gb_cache: dict[OrderSpec, tuple[Polynomial, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -404,15 +398,7 @@ class Ideal:
                 raise RingError("generator in a different ring")
         self.ring = ring
         self.generators = gens
-        self._gb_cache = {}
-
-    @classmethod
-    def with_cached_gb(
-        cls, ring: RingSpec, generators: Iterable[Polynomial], order: OrderSpec, gb: tuple[Polynomial, ...]
-    ) -> "Ideal":
-        ideal = cls(ring, generators)
-        ideal._gb_cache[order] = gb
-        return ideal
+        self._gb_cache: dict[OrderSpec, tuple[Polynomial, ...]] = {}
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -491,5 +477,6 @@ def eliminate(
     dropped_indices = [i for i in range(ring.nvars) if i not in set(indices)]
     kept = [g for g in gb if not g.involves(dropped_indices)]
     projected = tuple(g.project_to(subring, indices) for g in kept)
-    sub_order = OrderSpec(order.stages[len(drop) :])
-    return Ideal.with_cached_gb(subring, projected, sub_order, projected)
+    result = Ideal(subring, projected)
+    result._gb_cache[OrderSpec(order.stages[len(drop) :])] = projected
+    return result

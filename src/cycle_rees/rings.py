@@ -58,14 +58,11 @@ class RingSpec:
     def block_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.blocks)
 
-    def block_vars(self, block: str) -> tuple[str, ...]:
+    def block_indices(self, block: str) -> tuple[int, ...]:
         for name, names in self.blocks:
             if name == block:
-                return names
+                return tuple(self.var_index[v] for v in names)
         raise RingError(f"no block {block!r}")
-
-    def block_indices(self, block: str) -> tuple[int, ...]:
-        return tuple(self.var_index[v] for v in self.block_vars(block))
 
     def one_exps(self) -> Exponents:
         return (0,) * self.nvars
@@ -338,73 +335,39 @@ class Polynomial:
         return "*".join(parts) if parts else "1"
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^]))")
+_FACTOR = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z]\w*)(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(rf"([-+]?)\s*((?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*)\s*")
 
 
 def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
-    """Parse the canonical text format (plus arbitrary whitespace)."""
-    tokens: list[tuple[str, str]] = []
+    """Parse polynomial text; blank text is the zero polynomial.
+
+    The grammar: terms ``[+-] factor (* factor)*``, each after the first
+    with its sign; a factor is an integer ``a``, a fraction ``a/b`` or a
+    variable ``name`` with an optional ``^k``; whitespace may surround every
+    token.  Any other text, an unknown variable or a zero denominator raises
+    RingError.
+    """
+    text = text.strip()
+    terms: dict[Exponents, Fraction] = {}
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise RingError(f"cannot parse {text[pos:]!r}")
-            break
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m[1]):
+            raise RingError(f"cannot parse {text[pos:]!r}")
         pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-
-    terms: dict[Exponents, Fraction] = {}
-    i = 0
-
-    def flush(sign: int, coeff: Fraction, exps: list[int]) -> None:
-        e = tuple(exps)
-        c = terms.get(e, Fraction(0)) + sign * coeff
-        if c:
-            terms[e] = c
-        else:
-            terms.pop(e, None)
-
-    sign = 1
-    first = True
-    while i < len(tokens):
-        if tokens[i] == ("op", "+"):
-            sign, i = 1, i + 1
-        elif tokens[i] == ("op", "-"):
-            sign, i = -1, i + 1
-        elif not first:
-            raise RingError("missing '+' or '-' between terms")
-        coeff = Fraction(1)
+        coeff = Fraction(-1 if m[1] == "-" else 1)
         exps = [0] * ring.nvars
-        saw_factor = False
-        while i < len(tokens):
-            kind, value = tokens[i]
-            if kind == "num":
+        for num, name, power in _FACTOR.findall(m[2]):
+            if num:
                 try:
-                    coeff *= Fraction(value)
+                    coeff *= Fraction(num)
                 except ZeroDivisionError:
-                    raise RingError(f"zero denominator in {value!r}") from None
-            elif kind == "name":
-                if value not in ring.var_index:
-                    raise RingError(f"unknown variable {value!r}")
-                power = 1
-                if i + 2 < len(tokens) and tokens[i + 1] == ("op", "^") and tokens[i + 2][0] == "num":
-                    power = int(tokens[i + 2][1])
-                    i += 2
-                exps[ring.var_index[value]] += power
+                    raise RingError(f"zero denominator in {num!r}") from None
+            elif name in ring.var_index:
+                exps[ring.var_index[name]] += int(power or 1)
             else:
-                break
-            saw_factor = True
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-            else:
-                break
-        if not saw_factor:
-            raise RingError("empty term")
-        flush(sign, coeff, exps)
-        first = False
-    if first and tokens:
-        raise RingError("no terms parsed")
+                raise RingError(f"unknown variable {name!r}")
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + coeff
     return Polynomial(ring, terms)

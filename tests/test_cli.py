@@ -265,6 +265,7 @@ def test_cli_output_matches_golden(name):
         (["classify", "--n", "6"], 2, "", "usage: cycle-rees classify"),
         (["classify", "--n", "9", "--t", "5", "--budget-secs", "0.000001"], 3, "timeout\n", ""),
         (["cm-type", "--n", "9", "--budget-secs", "0.000001"], 3, "budget exceeded\n", ""),
+        (["cm-type", "--n", "9", "--budget-secs", "0.000001", "--format", "json"], 3, '{"error": "budget exceeded"}\n', ""),
     ],
 )
 def test_module_entry_point(argv, code, stdout, stderr):

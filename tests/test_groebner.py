@@ -128,6 +128,22 @@ def test_is_groebner_basis_rejects_mixed_rings(names, other):
         is_groebner_basis([parse_polynomial(ab, "a^2 - b"), parse_polynomial(RingSpec((("X", names),)), other)])
 
 
+def test_engine_rejects_mismatched_or_zero_input():
+    ab = RingSpec((("X", ("a", "b")),))
+    cd = RingSpec((("X", ("c", "d")),))
+    f, g = parse_polynomial(ab, "a^2 - b"), parse_polynomial(cd, "c*d - d")
+    with pytest.raises(RingError, match="basis polynomial in a different ring"):
+        normal_form(f, [g])
+    with pytest.raises(RingError, match="zero polynomial in reduction basis"):
+        normal_form(f, [parse_polynomial(ab, "b"), Polynomial.zero(ab)])
+    with pytest.raises(RingError, match="polynomial and ideal live in different rings"):
+        ideal_membership(f, Ideal(cd, [g]))
+    with pytest.raises(RingError, match="ideals live in different rings"):
+        ideal_equal(Ideal(ab, [f]), Ideal(cd, [g]))
+    with pytest.raises(RingError, match="generator in a different ring"):
+        Ideal(ab, [g])
+
+
 def test_membership_examples(rees_cache, sym_cache):
     ring = cycle_ring(6)
     order = product_order(ring)

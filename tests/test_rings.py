@@ -93,6 +93,28 @@ def test_parse_rejects_zero_denominator():
         P("1/0")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["x1^", "x1**2", "2 3", "3x1", "x1 x2", "x1^-1", "x1^1/2", "x1^2^3", "x1*", "1/2*+ y2", "*x1", "x1 +", "- - x1"],
+)
+def test_parse_rejects_malformed(text):
+    with pytest.raises(RingError):
+        P(text)
+
+
+PARSER_ALPHABET = ["x1", "y2", "x0", "z1", "3", "0", "1/2", "2/0", "x1^2", "*", "**", "^", "2", "+", "-", " ", "\t"]
+
+
+@given(st.lists(st.sampled_from(PARSER_ALPHABET), max_size=12).map("".join))
+def test_parse_is_total_on_its_alphabet(text):
+    # any text either parses to a polynomial its own text reproduces, or raises RingError
+    try:
+        p = P(text)
+    except RingError:
+        return
+    assert P(p.to_text()) == p
+
+
 def test_extend_and_project():
     small = y_ring(6)
     h = parse_polynomial(small, "y1*y3*y5 - y0*y2*y4")
