@@ -27,7 +27,7 @@ from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal,
 from .linalg import matrix_rank, sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import OrderSpec, product_order
-from .rees import PathIdealSpec, _binomial, _mono, fiber_ideal, rees_ideal, sym_relations
+from .rees import PathIdealSpec, _binomial, _mono, _x, fiber_ideal, rees_ideal, sym_relations
 from .rings import InvariantError, Polynomial, RingSpec
 
 
@@ -229,11 +229,11 @@ def artinian_reduction_ideal(n: int) -> tuple[RingSpec, OrderSpec, list[Polynomi
     In K[x1..x_{n-1}] under lex x1 > ... > x_{n-1}:
     (x_i^2 - x_{i+1}x_{i+2} for i <= n-3, x_{n-2}^2, x_{n-1}^2, x_1 x_2).
     """
-    ring = RingSpec((("X", tuple(f"x{i}" for i in range(1, n))),))
+    ring = RingSpec((("X", tuple(_x(n, *range(1, n)))),))
     order = OrderSpec(((("X",), "lex"),))
-    gens = [_binomial(ring, {f"x{i}": 2}, {f"x{i+1}": 1, f"x{i+2}": 1}) for i in range(1, n - 2)]
-    for parts in ({f"x{n-2}": 2}, {f"x{n-1}": 2}, {"x1": 1, "x2": 1}):
-        gens.append(Polynomial.monomial(ring, _mono(ring, parts)))
+    gens = [_binomial(ring, _x(n, i, i), _x(n, i + 1, i + 2)) for i in range(1, n - 2)]
+    for names in (_x(n, n - 2, n - 2), _x(n, n - 1, n - 1), _x(n, 1, 2)):
+        gens.append(Polynomial.monomial(ring, _mono(ring, names)))
     return ring, order, gens
 
 

@@ -199,15 +199,14 @@ def _cmd_pfaffian(args) -> _Result:
 
 def _cmd_ideal(args) -> _Result:
     spec = PathIdealSpec(args.n, args.t)
-    budget = Budget(seconds=_budget_secs(args))
     if args.which == "path":
         ideal = path_ideal(spec)
     elif args.which == "sym":
         ideal = sym_relations(spec)
     elif args.which == "rees":
-        ideal = rees_ideal(spec, budget)
+        ideal = rees_ideal(spec, Budget(seconds=_budget_secs(args)))
     elif args.which == "fiber":
-        ideal = fiber_ideal(spec, budget)
+        ideal = fiber_ideal(spec, Budget(seconds=_budget_secs(args)))
     else:
         if args.t == args.n - 2:
             fam = family_n_minus_2(args.n)

@@ -178,7 +178,7 @@ def pivot_most_frequent(gens: tuple[Exponents, ...]) -> int:
     return max(sorted(candidates), key=lambda i: counts[i])
 
 
-def _numerator(gens: tuple[Exponents, ...], nvars: int, pivot: PivotChooser, memo: dict) -> list[int]:
+def _numerator(gens: tuple[Exponents, ...], pivot: PivotChooser, memo: dict) -> list[int]:
     """K-polynomial of T/(gens): HS = K / (1-z)^nvars."""
     if not gens:
         return [1]
@@ -197,16 +197,12 @@ def _numerator(gens: tuple[Exponents, ...], nvars: int, pivot: PivotChooser, mem
     p = tuple(1 if k == i else 0 for k in range(len(gens[0])))
     plus = _minimalize(gens + (p,))
     colon = _minimalize(_quotients(gens, p))
-    result = _poly_add(
-        _numerator(plus, nvars, pivot, memo),
-        _poly_shift(_numerator(colon, nvars, pivot, memo), 1),
-    )
+    result = _poly_add(_numerator(plus, pivot, memo), _poly_shift(_numerator(colon, pivot, memo), 1))
     memo[gens] = result
     return result
 
 
 def hilbert_numerator(ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_frequent) -> HilbertSeries:
     """Exact Hilbert series of T/M under the standard grading, canonical form."""
-    nvars = ideal.ring.nvars
-    num = _numerator(ideal.gens, nvars, pivot, {})
-    return HilbertSeries(tuple(num), nvars).canonical()
+    num = _numerator(ideal.gens, pivot, {})
+    return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()

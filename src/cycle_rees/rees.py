@@ -14,11 +14,10 @@ x_j x_{j+1} ... x_{j+t-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .groebner import Budget, Ideal, eliminate
-from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, mono_div, mono_lcm, mono_mul, x_ring, y_ring
+from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
 
 
 @dataclass(frozen=True)
@@ -39,38 +38,31 @@ class PathIdealSpec:
         return gcd(self.n, self.t)
 
 
-def _mono(ring: RingSpec, factors: dict[str, int]) -> Exponents:
+def _mono(ring: RingSpec, names: list[str]) -> Exponents:
+    """Exponent vector of the product of the named variables, repeats counted."""
     exps = [0] * ring.nvars
-    for name, e in factors.items():
-        exps[ring.var_index[name]] += e
+    for name in names:
+        exps[ring.var_index[name]] += 1
     return tuple(exps)
 
 
-def _xname(n: int, i: int) -> str:
-    return f"x{i % n}"
+def _x(n: int, *i: int) -> list[str]:
+    return [f"x{k % n}" for k in i]
 
 
-def _yname(n: int, i: int) -> str:
-    return f"y{i % n}"
+def _y(n: int, *i: int) -> list[str]:
+    return [f"y{k % n}" for k in i]
 
 
-def _window_exps(ring: RingSpec, n: int, t: int, j: int) -> Exponents:
-    """Exponent vector of x_j x_{j+1} ... x_{j+t-1}."""
-    exps = [0] * ring.nvars
-    for k in range(t):
-        exps[ring.var_index[_xname(n, j + k)]] += 1
-    return tuple(exps)
-
-
-def _binomial(ring: RingSpec, plus: dict[str, int], minus: dict[str, int]) -> Polynomial:
-    return Polynomial(ring, {_mono(ring, plus): Fraction(1), _mono(ring, minus): Fraction(-1)})
+def _binomial(ring: RingSpec, plus: list[str], minus: list[str]) -> Polynomial:
+    return Polynomial(ring, {_mono(ring, plus): 1, _mono(ring, minus): -1})
 
 
 def path_ideal(spec: PathIdealSpec) -> Ideal:
     """The ideal of all length-t windows of the n-cycle, in the x variables."""
-    ring = x_ring(spec.n)
-    gens = [Polynomial.monomial(ring, _window_exps(ring, spec.n, spec.t, j)) for j in range(1, spec.n + 1)]
-    return Ideal(ring, gens)
+    n, t = spec.n, spec.t
+    ring = x_ring(n)
+    return Ideal(ring, [Polynomial.monomial(ring, _mono(ring, _x(n, *range(j, j + t)))) for j in range(1, n + 1)])
 
 
 def sym_relations(spec: PathIdealSpec) -> Ideal:
@@ -78,17 +70,16 @@ def sym_relations(spec: PathIdealSpec) -> Ideal:
 
     For windows u_i, u_j the syzygy is (lcm/u_i) y_i - (lcm/u_j) y_j; the
     full pairwise set generates the first syzygy module of a monomial ideal.
+    A window is squarefree (t < n), so lcm/u_i is u_j's variables outside u_i.
     """
     n, t = spec.n, spec.t
     ring = cycle_ring(n)
-    windows = {j: _window_exps(ring, n, t, j) for j in range(1, n + 1)}
-    gens: list[Polynomial] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lcm = mono_lcm(windows[i], windows[j])
-            left = mono_mul(mono_div(lcm, windows[i]), _mono(ring, {_yname(n, i): 1}))
-            right = mono_mul(mono_div(lcm, windows[j]), _mono(ring, {_yname(n, j): 1}))
-            gens.append(Polynomial(ring, {left: Fraction(1), right: Fraction(-1)}))
+    u = {j: set(_x(n, *range(j, j + t))) for j in range(1, n + 1)}
+    gens = [
+        _binomial(ring, [*u[j] - u[i], *_y(n, i)], [*u[i] - u[j], *_y(n, j)])
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
     return Ideal(ring, gens)
 
 
@@ -96,13 +87,7 @@ def graph_ideal(spec: PathIdealSpec) -> Ideal:
     """The ideal (y_j - u_j s) in K[y, x, s] presenting the monomial map."""
     n, t = spec.n, spec.t
     ring = cycle_ring(n, with_s=True)
-    gens = []
-    for j in range(1, n + 1):
-        y_exps = _mono(ring, {_yname(n, j): 1})
-        u_exps = list(_window_exps(ring, n, t, j))
-        u_exps[ring.var_index["s"]] = 1
-        gens.append(Polynomial(ring, {y_exps: Fraction(1), tuple(u_exps): Fraction(-1)}))
-    return Ideal(ring, gens)
+    return Ideal(ring, [_binomial(ring, _y(n, j), [*_x(n, *range(j, j + t)), "s"]) for j in range(1, n + 1)])
 
 
 def rees_ideal(spec: PathIdealSpec, budget: Budget | None = None) -> Ideal:
@@ -124,15 +109,7 @@ def fiber_ideal_closed_form(spec: PathIdealSpec) -> Ideal:
     """The d-1 binomials m_i - m_d, m_i the product of y_j with j = i mod d."""
     n, d = spec.n, spec.d
     ring = y_ring(n)
-    if d == 1:
-        return Ideal(ring, [])
-
-    def m(i: int) -> dict[str, int]:
-        return {_yname(n, j): 1 for j in range(1, n + 1) if j % d == i % d}
-
-    last = m(d)
-    gens = [_binomial(ring, m(i), last) for i in range(1, d)]
-    return Ideal(ring, gens)
+    return Ideal(ring, [_binomial(ring, _y(n, *range(i, n + 1, d)), _y(n, *range(d, n + 1, d))) for i in range(1, d)])
 
 
 def family_n_minus_2(n: int) -> dict[str, Polynomial]:
@@ -148,21 +125,12 @@ def family_n_minus_2(n: int) -> dict[str, Polynomial]:
     ring = cycle_ring(n)
     out: dict[str, Polynomial] = {}
     for j in range(1, n):
-        out[f"f{j}"] = _binomial(
-            ring,
-            {_xname(n, j - 2): 1, _yname(n, j): 1},
-            {_xname(n, j): 1, _yname(n, j + 1): 1},
-        )
+        out[f"f{j}"] = _binomial(ring, _x(n, j - 2) + _y(n, j), _x(n, j) + _y(n, j + 1))
     for k in range(1, n // 2 + 1):
-        odd = {_yname(n, i): 1 for i in range(2 * k) if i % 2 == 1}
-        even = {_yname(n, i): 1 for i in range(2 * k) if i % 2 == 0}
-        odd[_xname(n, 2 * k - 2)] = odd.get(_xname(n, 2 * k - 2), 0) + 1
-        even[_xname(n, n - 2)] = even.get(_xname(n, n - 2), 0) + 1
-        out[f"g{k}"] = _binomial(ring, odd, even)
+        odd, even = _y(n, *range(1, 2 * k, 2)), _y(n, *range(0, 2 * k, 2))
+        out[f"g{k}"] = _binomial(ring, _x(n, 2 * k - 2) + odd, _x(n, n - 2) + even)
     if n % 2 == 0:
-        odd = {_yname(n, i): 1 for i in range(n) if i % 2 == 1}
-        even = {_yname(n, i): 1 for i in range(n) if i % 2 == 0}
-        out["h"] = _binomial(ring, odd, even)
+        out["h"] = _binomial(ring, _y(n, *range(1, n, 2)), _y(n, *range(0, n, 2)))
     return out
 
 
@@ -179,23 +147,11 @@ def family_half(n: int) -> dict[str, Polynomial]:
     ring = cycle_ring(n)
     out: dict[str, Polynomial] = {}
     for j in range(1, n):
-        out[f"f{j}"] = _binomial(
-            ring,
-            {_xname(n, half + j): 1, _yname(n, j): 1},
-            {_xname(n, j): 1, _yname(n, j + 1): 1},
-        )
+        out[f"f{j}"] = _binomial(ring, _x(n, half + j) + _y(n, j), _x(n, j) + _y(n, j + 1))
     for k in range(1, half):
-        plus = {_xname(n, i): 1 for i in range(k)}
-        plus[_yname(n, k)] = 1
-        minus = {_xname(n, i): 1 for i in range(half, half + k)}
-        minus[_yname(n, 0)] = 1
-        out[f"g{k}"] = _binomial(ring, plus, minus)
+        out[f"g{k}"] = _binomial(ring, _y(n, k) + _x(n, *range(k)), _y(n, 0) + _x(n, *range(half, half + k)))
     for l in range(1, half):
-        out[f"h{l}"] = _binomial(
-            ring,
-            {_yname(n, l): 1, _yname(n, l + half): 1},
-            {_yname(n, 0): 1, _yname(n, half): 1},
-        )
+        out[f"h{l}"] = _binomial(ring, _y(n, l, l + half), _y(n, 0, half))
     return out
 
 
@@ -243,10 +199,8 @@ def jacobian_dual(n: int) -> PolyMatrix:
     rows = [[zero for _ in range(n)] for _ in range(n)]
     for r in range(1, n + 1):
         j = r + 1
-        col_plus = (r - 1 - 1) % n  # column of x_{j-2}, 0-based
-        col_minus = (r + 1 - 1) % n  # column of x_j, 0-based
-        rows[r - 1][col_plus] = Polynomial.variable(ring, _yname(n, j))
-        rows[r - 1][col_minus] = -Polynomial.variable(ring, _yname(n, j + 1))
+        rows[r - 1][(r - 2) % n] = Polynomial.variable(ring, *_y(n, j))  # column of x_{j-2}, 0-based
+        rows[r - 1][r % n] = -Polynomial.variable(ring, *_y(n, j + 1))  # column of x_j, 0-based
     matrix = PolyMatrix(ring, rows)
     if not matrix.is_skew_symmetric():
         raise InvariantError("relation matrix is not skew-symmetric; indexing bug")

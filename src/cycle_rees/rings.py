@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, le
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -130,15 +130,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """a / b, assuming divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 class Polynomial:

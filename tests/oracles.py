@@ -1,7 +1,8 @@
 """Independent reference computations the tests compare the library against.
 
 None of these is on a library code path: each is a slower or differently
-organised route to an answer the library computes another way.
+organised route to an answer the library computes another way, or, for the
+classification grid, the answer itself as recorded from earlier runs.
 """
 
 from __future__ import annotations
@@ -10,8 +11,46 @@ from math import gcd
 
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
 from cycle_rees.orders import KeyFunction, OrderSpec
-from cycle_rees.rees import PolyMatrix
-from cycle_rees.rings import Exponents, Polynomial, RingSpec
+from cycle_rees.rees import PathIdealSpec, PolyMatrix
+from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_mul
+
+
+# -- monomials as exponent tuples: the references for the packed kernels --
+
+
+def mono_div(a: Exponents, b: Exponents) -> Exponents:
+    """a / b, assuming divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+# -- symmetric-algebra relations by exponent arithmetic on lcms --
+
+
+def lcm_syzygies(spec: PathIdealSpec) -> list[Polynomial]:
+    """(lcm/u_i) y_i - (lcm/u_j) y_j for all windows u_i, u_j with i < j,
+    each window an exponent tuple and each quotient a tuple difference."""
+    n, t = spec.n, spec.t
+    ring = cycle_ring(n)
+
+    def exps(names: list[str]) -> Exponents:
+        out = [0] * ring.nvars
+        for name in names:
+            out[ring.var_index[name]] += 1
+        return tuple(out)
+
+    window = {j: exps([f"x{(j + k) % n}" for k in range(t)]) for j in range(1, n + 1)}
+    gens = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            lcm = mono_lcm(window[i], window[j])
+            left = mono_mul(mono_div(lcm, window[i]), exps([f"y{i % n}"]))
+            right = mono_mul(mono_div(lcm, window[j]), exps([f"y{j % n}"]))
+            gens.append(Polynomial(ring, {left: 1, right: -1}))
+    return gens
 
 
 # -- monomial orders: the stage-by-stage key the compiled key must agree with --
@@ -107,6 +146,25 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
         return total
 
     return det(tuple(range(matrix.size)))
+
+
+# -- the classification grid, one glyph per cell (n, t) for t = 1 .. n-1 --
+
+GLYPH = {"linear": "L", "fiber": "F", "neither": "×", "timeout": "T"}
+
+KNOWN_GRID = {
+    3: "LL",
+    4: "LFL",
+    5: "LLLL",
+    6: "LFFFL",
+    7: "LLL×LL",
+    8: "LF×F×FL",
+    9: "LLFL×FLL",
+    10: "LFL×F××FL",
+    11: "LL××L×××LL",
+    12: "LFFF×F×××FL",
+    13: "LLLL×L××××LL",
+}
 
 
 # -- cases of linear type known from the literature on cycle path ideals --

@@ -47,23 +47,7 @@ from cycle_rees.rees import (
 from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_mul
 
 from conftest import cached_fiber, cached_rees, cached_sym
-from oracles import determinant, hilbert_by_inclusion_exclusion, pivot_least_frequent
-
-GLYPH = {"linear": "L", "fiber": "F", "neither": "×", "timeout": "T"}
-
-KNOWN_GRID = {
-    3: "LL",
-    4: "LFL",
-    5: "LLLL",
-    6: "LFFFL",
-    7: "LLL×LL",
-    8: "LF×F×FL",
-    9: "LLFL×FLL",
-    10: "LFL×F××FL",
-    11: "LL××L×××LL",
-    12: "LFFF×F×××FL",
-    13: "LLLL×L××××LL",
-}
+from oracles import GLYPH, KNOWN_GRID, determinant, hilbert_by_inclusion_exclusion, pivot_least_frequent
 
 
 def criterion(label: str):

@@ -26,18 +26,7 @@ from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberge
 from cycle_rees.monomial_ideals import HilbertSeries
 from cycle_rees.rings import parse_polynomial
 
-from oracles import known_linear, known_not_linear
-
-GLYPH = {"linear": "L", "fiber": "F", "neither": "x", "timeout": "T"}
-
-EXPECTED_ROWS = {
-    3: "LL",
-    4: "LFL",
-    5: "LLLL",
-    6: "LFFFL",
-    7: "LLLxLL",
-    8: "LFxFxFL",
-}
+from oracles import GLYPH, KNOWN_GRID, known_linear, known_not_linear
 
 
 def test_fiber_dimension_examples():
@@ -72,9 +61,9 @@ def test_is_fiber_type_examples():
 
 def test_classify_rows_match_known_grid():
     records = classification_table(3, 8)
-    for n, expected in EXPECTED_ROWS.items():
+    for n in range(3, 9):
         row = "".join(GLYPH[r.klass] for r in records if r.n == n)
-        assert row == expected, f"n={n}: {row} != {expected}"
+        assert row == KNOWN_GRID[n], f"n={n}: {row} != {KNOWN_GRID[n]}"
     # linear implies fiber type, and the fiber dimension formula holds
     for r in records:
         assert r.fiber_dim == r.n - r.gcd + 1

@@ -190,6 +190,17 @@ def test_budget_env_var(monkeypatch, capsys):
         assert code == 0 and out.strip() == "2", good
 
 
+def test_ideal_reads_the_budget_only_for_eliminations(monkeypatch, capsys):
+    monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", "abc")
+    for which in ("path", "sym", "family"):
+        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which)
+        assert code == 0 and out, which
+    for which in ("rees", "fiber"):
+        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which)
+        assert code == 2 and out == "", which
+        assert "CYCLE_REES_BUDGET_SECS" in capsys.readouterr().err
+
+
 def test_budget_secs_flag_must_be_positive(capsys):
     for bad in ("0", "-1", "nan"):
         for argv in (("classify", "--n", "5", "--t", "2"), ("cm-type", "--n", "5")):
@@ -248,6 +259,8 @@ GOLDEN_CLI = {
     "ideal_5_2_fiber.txt": ["ideal", "--n", "5", "--t", "2", "--which", "fiber"],
     "ideal_8_6_family.txt": ["ideal", "--n", "8", "--t", "6", "--which", "family"],
     "ideal_8_4_family.json": ["ideal", "--n", "8", "--t", "4", "--which", "family", "--format", "json"],
+    "ideal_7_5_family.txt": ["ideal", "--n", "7", "--t", "5", "--which", "family"],
+    "ideal_7_4_sym.txt": ["ideal", "--n", "7", "--t", "4", "--which", "sym"],
 }
 
 

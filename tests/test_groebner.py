@@ -31,10 +31,11 @@ from cycle_rees.rings import (
     RingSpec,
     cycle_ring,
     mono_divides,
-    mono_lcm,
     mono_mul,
     parse_polynomial,
 )
+
+from oracles import mono_lcm
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:

@@ -23,11 +23,18 @@ from cycle_rees.rees import (
 )
 from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, parse_polynomial, y_ring
 
-from oracles import determinant
+from oracles import determinant, lcm_syzygies
 
 
 def texts(ideal: Ideal) -> set[str]:
     return {g.to_text() for g in ideal.generators}
+
+
+def test_sym_relations_match_lcm_syzygy_oracle():
+    for n in range(3, 11):
+        for t in range(1, n):
+            spec = PathIdealSpec(n, t)
+            assert list(sym_relations(spec).generators) == lcm_syzygies(spec), (n, t)
 
 
 def test_path_ideal_windows():
