@@ -49,7 +49,12 @@ class Budget:
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise BudgetExceeded(f"step budget exceeded ({self.max_steps})")
-        if self.deadline is not None and self.steps % 64 == 0 and time.monotonic() > self.deadline:
+        if self.steps % 64 == 0:
+            self.check_deadline()
+
+    def check_deadline(self) -> None:
+        """Raise if the time budget has run out; counts no step."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exceeded")
 
 
@@ -201,6 +206,14 @@ def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
     return out
 
 
+# (basis, ring, order, records) of the last basis reduced against.  Membership
+# loops take all their normal forms against one cached basis tuple before they
+# move on, so one slot suffices.  It is keyed on the tuple's identity, which
+# the slot's own reference keeps from being reused; records depend only on the
+# basis, ring and order, and reduce_full only reads them.
+_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...]] | None = None
+
+
 def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
@@ -221,16 +234,26 @@ def _normal_forms(
     """The normal form of each term dict f of ring against one basis, as
     term dicts, yielded as fs is read.
 
-    One engine and one record list serve every f, so the basis records and
-    the key memo are built once however many polynomials are reduced.
+    One engine and one record list serve every f, so the key memo is built
+    once however many polynomials are reduced.  The records themselves are
+    kept in ``_last_records`` and reused by the next call that passes the
+    same basis tuple under an equal ring and order.
     """
-    engine = _Engine(ring, order or canonical_order(ring), budget or _NO_BUDGET)
-    for g in basis:
-        if g.ring != ring:
-            raise RingError("basis polynomial in a different ring")
-        if g.is_zero():
-            raise RingError("zero polynomial in reduction basis")
-    reducers = [engine.reducer(engine.pack(g.terms)) for g in basis]
+    global _last_records
+    order = order or canonical_order(ring)
+    engine = _Engine(ring, order, budget or _NO_BUDGET)
+    basis = tuple(basis)  # a tuple is itself; a list is copied, so never a hit
+    last = _last_records
+    if last is not None and last[0] is basis and last[1] == ring and last[2] == order:
+        reducers = last[3]
+    else:
+        for g in basis:
+            if g.ring != ring:
+                raise RingError("basis polynomial in a different ring")
+            if g.is_zero():
+                raise RingError("zero polynomial in reduction basis")
+        reducers = tuple(engine.reducer(engine.pack(g.terms)) for g in basis)
+        _last_records = basis, ring, order, reducers
     for f in fs:
         yield engine.unpack(engine.reduce_full(engine.pack(f), reducers))
 
@@ -313,6 +336,8 @@ def buchberger(
     heap: list[tuple[int, int, int, int]] = []
     counter = [0]
     for g in gens:
+        # an insertion is no step, but many of them can outlast the budget
+        engine.budget.check_deadline()
         _gm_update(engine, basis, alive, heap, counter, engine.reducer(engine.pack(g.terms)))
 
     while heap:

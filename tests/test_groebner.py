@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from cycle_rees import groebner
 from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
@@ -24,7 +25,7 @@ from cycle_rees.groebner import (
     normal_form,
 )
 from cycle_rees.orders import OrderSpec, product_order
-from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal
+from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal, sym_relations
 from cycle_rees.rings import (
     Polynomial,
     RingError,
@@ -145,6 +146,41 @@ def test_engine_rejects_mismatched_or_zero_input():
         Ideal(ab, [g])
 
 
+def test_reused_basis_records_keep_the_input_checks():
+    ab = RingSpec((("X", ("a", "b")),))
+    cd = RingSpec((("X", ("c", "d")),))
+    gb = buchberger([parse_polynomial(ab, "a^2 - b")])
+    assert normal_form(parse_polynomial(ab, "a^3"), gb) == parse_polynomial(ab, "a*b")
+    # the same basis tuple still rejects a polynomial of another ring
+    with pytest.raises(RingError, match="basis polynomial in a different ring"):
+        normal_form(parse_polynomial(cd, "c"), gb)
+    # a list basis is read afresh on every call
+    f = parse_polynomial(ab, "a^2 + b")
+    basis = [parse_polynomial(ab, "a - b")]
+    assert normal_form(f, basis) == parse_polynomial(ab, "b^2 + b")
+    basis[0] = parse_polynomial(ab, "b - 1")
+    assert normal_form(f, basis) == parse_polynomial(ab, "a^2 + 1")
+
+
+def test_second_membership_packs_no_basis_element(rees_cache, monkeypatch):
+    J = rees_cache(6, 4)
+    order = product_order(J.ring)
+    h = parse_polynomial(J.ring, "y1*y3*y5 - y0*y2*y4")
+    assert ideal_membership(h, J, order)
+    packed = []
+    init = groebner._Engine.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        pack = self.pack
+        self.pack = lambda terms: packed.append(terms) or pack(terms)
+
+    monkeypatch.setattr(groebner._Engine, "__init__", counting_init)
+    assert ideal_membership(h, J, order)
+    assert len(J.groebner_basis(order)) > 1
+    assert packed == [h.terms]
+
+
 def test_membership_examples(rees_cache, sym_cache):
     ring = cycle_ring(6)
     order = product_order(ring)
@@ -197,6 +233,15 @@ def test_time_budget_is_honoured_by_a_long_elimination():
     with pytest.raises(BudgetExceeded):
         rees_ideal(PathIdealSpec(10, 9), Budget(seconds=0.3))
     assert time.monotonic() - start < 0.3 + 1.0
+
+
+def test_time_budget_is_checked_while_generators_are_inserted():
+    # inserting L's generators counts no step, but for a long cycle it alone
+    # can take many times the budget
+    budget = Budget(seconds=0)
+    with pytest.raises(BudgetExceeded):
+        buchberger(sym_relations(PathIdealSpec(8, 1)).generators, budget=budget)
+    assert budget.steps == 0
 
 
 def test_rees_basis_is_bihomogeneous(rees_cache):
