@@ -12,11 +12,12 @@ reported as an integer numerator over (1-z)^e in lowest terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .groebner import Budget, Ideal
 from .orders import OrderSpec, canonical_order
-from .rings import Exponents, RingError, RingSpec, mono_divides
+from .rings import Exponents, Polynomial, RingError, RingSpec, mono_divides
 
 
 def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
@@ -29,6 +30,15 @@ def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
     return tuple(minimal)
 
 
+def _checked(ring: RingSpec, exps: Exponents) -> Exponents:
+    """``exps`` as a tuple; RingError unless it is an exponent vector of ``ring``."""
+    if len(exps) != ring.nvars:
+        raise RingError("exponent vector length does not match ring")
+    if min(exps, default=0) < 0:
+        raise RingError("negative exponent")
+    return tuple(exps)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generators."""
@@ -38,11 +48,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_exponents(cls, ring: RingSpec, gens: Iterable[Exponents]) -> "MonomialIdeal":
-        gens = tuple(gens)
-        for g in gens:
-            if len(g) != ring.nvars:
-                raise RingError("exponent vector length does not match ring")
-        return cls(ring, _minimalize(gens))
+        return cls(ring, _minimalize([_checked(ring, g) for g in gens]))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -73,21 +79,19 @@ def x_condition(ideal: MonomialIdeal) -> bool:
     return all(all(g[i] <= 1 for i in idxs) for g in ideal.gens)
 
 
-def _quotients(gens: Iterable[Exponents], p: Exponents) -> list[Exponents]:
-    """Generators of (gens) : p, each m / gcd(m, p); not minimalized."""
-    return [tuple(max(e - q, 0) for e, q in zip(g, p)) for g in gens]
-
-
 def colon_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
     """M : p, computed generator-wise as m / gcd(m, p)."""
-    return MonomialIdeal.from_exponents(ideal.ring, _quotients(ideal.gens, p))
+    p = _checked(ideal.ring, p)
+    return MonomialIdeal(ideal.ring, _minimalize([tuple(max(e - q, 0) for e, q in zip(g, p)) for g in ideal.gens]))
 
 
 def sum_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
-    return MonomialIdeal.from_exponents(ideal.ring, ideal.gens + (tuple(p),))
+    return MonomialIdeal(ideal.ring, _minimalize(ideal.gens + (_checked(ideal.ring, p),)))
 
 
 # -- Hilbert series --
+
+_Z = RingSpec((("Z", ("z",)),))
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,9 @@ class HilbertSeries:
         if not num:
             return HilbertSeries((), 0)
         e = self.denom_power
-        while e > 0:
-            quotient = _divide_by_one_minus_z(num)
-            if quotient is None:
-                break
-            num = quotient
+        while e > 0 and sum(num) == 0:
+            # num / (1-z): the partial sums of num, the last (zero) one dropped
+            num = list(accumulate(num))[:-1]
             e -= 1
         return HilbertSeries(tuple(num), e)
 
@@ -119,48 +121,19 @@ class HilbertSeries:
         return {"numerator": list(self.numerator), "denom_power": self.denom_power}
 
     def __str__(self) -> str:
-        if not self.numerator:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.numerator):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                z = "z" if k == 1 else f"z^{k}"
-                parts.append(("-" if c < 0 else "+") + f" {mag}{z}" if parts else (("-" if c < 0 else "") + f"{mag}{z}"))
-        body = " ".join(parts)
-        if self.denom_power == 0:
-            return body
-        return f"({body}) / (1-z)^{self.denom_power}"
+        num = Polynomial(_Z, {(k,): c for k, c in enumerate(self.numerator)})
+        text = num.to_text(key=lambda e: -e[0])  # ascending degree
+        if self.denom_power == 0 or num.is_zero():
+            return text
+        return f"({text}) / (1-z)^{self.denom_power}"
 
 
-def _divide_by_one_minus_z(num: list[int]) -> list[int] | None:
-    """num / (1-z) if exact, else None; q_k is the partial sum of num."""
-    total = 0
-    out = []
-    for c in num:
-        total += c
-        out.append(total)
-    if total != 0:
-        return None
-    out.pop()
-    return out if out else [0]
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
+def _add_shifted(a: list[int], b: list[int], k: int) -> list[int]:
+    """a + z^k * b."""
+    out = a + [0] * (len(b) + k - len(a))
+    for i, c in enumerate(b, k):
         out[i] += c
     return out
-
-
-def _poly_shift(a: list[int], k: int) -> list[int]:
-    return [0] * k + list(a)
 
 
 PivotChooser = Callable[[tuple[Exponents, ...]], int]
@@ -178,31 +151,27 @@ def pivot_most_frequent(gens: tuple[Exponents, ...]) -> int:
     return max(sorted(candidates), key=lambda i: counts[i])
 
 
-def _numerator(gens: tuple[Exponents, ...], pivot: PivotChooser, memo: dict) -> list[int]:
-    """K-polynomial of T/(gens): HS = K / (1-z)^nvars."""
-    if not gens:
-        return [1]
-    if any(not any(g) for g in gens):
+def _numerator(ideal: MonomialIdeal, pivot: PivotChooser, memo: dict) -> list[int]:
+    """K-polynomial of T/M: HS = K / (1-z)^nvars."""
+    gens = ideal.gens
+    if ideal.contains_one():
         return [0]
     if all(sum(1 for e in g if e) == 1 for g in gens):
         # pure powers: complete intersection, K = prod (1 - z^deg)
         out = [1]
         for g in gens:
-            out = _poly_add(out, [-c for c in _poly_shift(out, sum(g))])
+            out = _add_shifted(out, [-c for c in out], sum(g))
         return out
     cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    i = pivot(gens)
-    p = tuple(1 if k == i else 0 for k in range(len(gens[0])))
-    plus = _minimalize(gens + (p,))
-    colon = _minimalize(_quotients(gens, p))
-    result = _poly_add(_numerator(plus, pivot, memo), _poly_shift(_numerator(colon, pivot, memo), 1))
-    memo[gens] = result
-    return result
+    if cached is None:
+        i = pivot(gens)
+        p = tuple(1 if k == i else 0 for k in range(ideal.ring.nvars))
+        plus = _numerator(sum_mono(ideal, p), pivot, memo)
+        cached = memo[gens] = _add_shifted(plus, _numerator(colon_mono(ideal, p), pivot, memo), 1)
+    return cached
 
 
 def hilbert_numerator(ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_frequent) -> HilbertSeries:
     """Exact Hilbert series of T/M under the standard grading, canonical form."""
-    num = _numerator(ideal.gens, pivot, {})
+    num = _numerator(ideal, pivot, {})
     return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()

@@ -71,20 +71,18 @@ class RingSpec:
     def display_indices(self) -> tuple[int, ...]:
         """Variable indices in printing order: X block, Y block, S, then rest.
 
-        Within a block, variables print by ascending numeric suffix so that
-        monomial text looks like ``x0*x1*y2``.
+        Other blocks keep their declaration order.  Within a block, variables
+        print by ascending numeric suffix (none sorts first, ties keep
+        declaration order) so that monomial text looks like ``x0*x1*y2``.
         """
         preference = {"X": 0, "Y": 1, "S": 2}
 
-        def sort_key(item: tuple[int, str]) -> tuple[int, int, int, str]:
-            idx, name = item
-            block = next(b for b, names in self.blocks if name in names)
-            pref = preference.get(block, 3 + self.block_names.index(block))
+        def suffix(name: str) -> int:
             m = re.fullmatch(r"[A-Za-z]+(\d+)", name)
-            suffix = int(m.group(1)) if m else -1
-            return (pref, suffix, idx, name)
+            return int(m.group(1)) if m else -1
 
-        return tuple(i for i, _ in sorted(enumerate(self.variables), key=sort_key))
+        blocks = sorted(self.blocks, key=lambda b: preference.get(b[0], 3))
+        return tuple(self.var_index[v] for _, names in blocks for v in sorted(names, key=suffix))
 
     def restrict(self, keep_blocks: Iterable[str]) -> tuple["RingSpec", tuple[int, ...]]:
         """Subring on the given blocks, plus the kept variable indices."""

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
 from cycle_rees.monomial_ideals import (
     HilbertSeries,
     MonomialIdeal,
@@ -16,7 +19,7 @@ from cycle_rees.monomial_ideals import (
     x_condition,
 )
 from cycle_rees.orders import OrderSpec, product_order
-from cycle_rees.rings import RingSpec, cycle_ring, mono_divides, parse_polynomial
+from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_divides, parse_polynomial
 
 from oracles import hilbert_by_inclusion_exclusion, pivot_least_frequent
 
@@ -72,6 +75,23 @@ def test_colon_and_sum():
     assert colon_mono(M, y1) == mono_ideal(ring, "x1")
     one = ring.one_exps()
     assert sum_mono(M, one).contains_one()
+
+
+def test_exponent_vectors_are_checked():
+    ring = RingSpec((("X", ("a", "b")),))
+    with pytest.raises(RingError, match="negative exponent"):
+        MonomialIdeal.from_exponents(ring, [(-1, 2)])
+    M = MonomialIdeal.from_exponents(ring, [(1, 1)])
+    for p in [(0, -2), (-1, 0)]:
+        with pytest.raises(RingError, match="negative exponent"):
+            sum_mono(M, p)
+        with pytest.raises(RingError, match="negative exponent"):
+            colon_mono(M, p)
+    for p in [(0, 1, 5), (1,)]:
+        with pytest.raises(RingError, match="length"):
+            sum_mono(M, p)
+        with pytest.raises(RingError, match="length"):
+            colon_mono(M, p)
 
 
 def test_colon_k5(rees_cache):
@@ -148,6 +168,49 @@ def test_series_canonical_form_strips_common_factors():
     s = HilbertSeries((1, 0, -1), 2).canonical()  # (1-z^2)/(1-z)^2 = (1+z)/(1-z)
     assert s == HilbertSeries((1, 1), 1)
     assert HilbertSeries((0,), 4).canonical() == HilbertSeries((), 0)
+
+
+def power_series(series: HilbertSeries, degree: int) -> list[int]:
+    """Coefficients of z^0..z^degree of numerator / (1-z)^denom_power."""
+    coeffs = (list(series.numerator) + [0] * (degree + 1))[: degree + 1]
+    for _ in range(series.denom_power):
+        for k in range(1, degree + 1):
+            coeffs[k] += coeffs[k - 1]
+    return coeffs
+
+
+@given(st.lists(st.integers(-5, 5), max_size=8), st.integers(0, 4), st.data())
+def test_canonical_keeps_the_series_and_is_lowest_terms(num, e, data):
+    if data.draw(st.booleans()):
+        # times (1-z)^k, so there is a common factor to strip
+        for _ in range(data.draw(st.integers(0, e))):
+            num = [a - b for a, b in zip(num + [0], [0] + num)]
+    s = HilbertSeries(tuple(num), e)
+    c = s.canonical()
+    assert c.canonical() == c
+    assert power_series(c, 12) == power_series(s, 12)
+    if c.denom_power > 0:
+        assert sum(c.numerator) != 0
+
+
+@pytest.mark.parametrize(
+    "numerator, denom_power, text",
+    [
+        ((1, 3, 1), 5, "(1 + 3*z + z^2) / (1-z)^5"),
+        ((-1, 2), 0, "-1 + 2*z"),
+        ((-2, 0, 1), 3, "(-2 + z^2) / (1-z)^3"),
+        ((1, 0, 0, -4, 2), 2, "(1 - 4*z^3 + 2*z^4) / (1-z)^2"),
+        ((0, 1), 0, "z"),
+        ((0, -1), 1, "(-z) / (1-z)^1"),
+        ((3,), 0, "3"),
+        ((), 0, "0"),
+        ((), 3, "0"),
+        ((0,), 0, "0"),
+        ((0, 0), 2, "0"),
+    ],
+)
+def test_series_text(numerator, denom_power, text):
+    assert str(HilbertSeries(numerator, denom_power)) == text
 
 
 def test_json_shape():

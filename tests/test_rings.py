@@ -33,6 +33,21 @@ def test_cycle_ring_layout():
     assert y_ring(3).variables == ("y1", "y2", "y0")
 
 
+def test_display_order_puts_x_y_s_first_then_declared_blocks():
+    ring = RingSpec(
+        (
+            ("W", ("w2", "b", "w1")),
+            ("S", ("s",)),
+            ("Q", ("q10", "q2", "a2", "q")),
+            ("Y", ("y", "y3", "y1")),
+            ("X", ("x10", "x2", "x")),
+        )
+    )
+    assert [ring.variables[i] for i in ring.display_indices] == [
+        "x", "x2", "x10", "y", "y1", "y3", "s", "b", "w1", "w2", "q", "q2", "a2", "q10",
+    ]
+
+
 def test_duplicate_variables_rejected():
     with pytest.raises(RingError):
         RingSpec((("A", ("u", "v")), ("B", ("v",))))
