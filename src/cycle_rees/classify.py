@@ -76,11 +76,6 @@ class ClassRecord:
         return out
 
 
-def _extend_ideal(base: Ideal, extra: Ideal, ring: RingSpec) -> Ideal:
-    gens = list(base.generators) + [g.extend_to(ring) for g in extra.generators]
-    return Ideal(ring, gens)
-
-
 def is_linear_type(n: int, t: int, budget: Budget | None = None) -> bool:
     """Whether the Rees ideal equals the symmetric-algebra relations."""
     return _verdict(PathIdealSpec(n, t), budget, {})[0] == "linear"
@@ -108,12 +103,12 @@ def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -
     if ideal_equal(L, J, order, budget):
         ms["fiber"] = 0.0
         return "linear", None
-    H = fiber_ideal(spec, budget, rees=J)
+    H = fiber_ideal(J, budget)
     ms["fiber"] = (time.perf_counter() - t2) * 1000
     if H.is_zero_ideal():
         # H = 0 makes fiber type equivalent to linear type, already false
         return "neither", _neither_witness(J, L, budget)
-    LH = _extend_ideal(L, H, J.ring)
+    LH = Ideal(J.ring, L.generators + tuple(g.to_ring(J.ring) for g in H.generators))
     if ideal_equal(LH, J, order, budget):
         return "fiber", None
     return "neither", _neither_witness(J, LH, budget)

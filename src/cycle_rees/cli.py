@@ -134,6 +134,8 @@ def _cmd_classify(args) -> _Result:
 
 
 def _cmd_table(args) -> _Result:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive number of processes, got {args.jobs!r}")
     records = classification_table(args.n_min, args.n_max, budget_secs=_budget_secs(args), jobs=args.jobs)
     code = EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
     return [r.to_json(include_ms=args.timings) for r in records], render_table(records), code
@@ -206,7 +208,8 @@ def _cmd_ideal(args) -> _Result:
     elif args.which == "rees":
         ideal = rees_ideal(spec, Budget(seconds=_budget_secs(args)))
     elif args.which == "fiber":
-        ideal = fiber_ideal(spec, Budget(seconds=_budget_secs(args)))
+        budget = Budget(seconds=_budget_secs(args))
+        ideal = fiber_ideal(rees_ideal(spec, budget), budget)
     else:
         if args.t == args.n - 2:
             fam = family_n_minus_2(args.n)

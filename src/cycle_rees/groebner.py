@@ -497,11 +497,9 @@ def eliminate(
     ring = ideal.ring
     order = elimination_order(ring, drop)
     gb = ideal.groebner_basis(order, budget)
-    keep_blocks = tuple(b for b in ring.block_names if b not in drop)
-    subring, indices = ring.restrict(keep_blocks)
-    dropped_indices = [i for i in range(ring.nvars) if i not in set(indices)]
-    kept = [g for g in gb if not g.involves(dropped_indices)]
-    projected = tuple(g.project_to(subring, indices) for g in kept)
+    subring = ring.restrict(b for b in ring.block_names if b not in drop)
+    dropped = [i for b in drop for i in ring.block_indices(b)]
+    projected = tuple(g.to_ring(subring) for g in gb if not any(e[i] for e in g.terms for i in dropped))
     result = Ideal(subring, projected)
     result._gb_cache[OrderSpec(order.stages[len(drop) :])] = projected
     return result

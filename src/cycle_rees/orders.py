@@ -116,8 +116,8 @@ def product_order(ring: RingSpec) -> OrderSpec:
 
 
 def canonical_order(ring: RingSpec) -> OrderSpec:
-    """Default order for a ring: eliminate S if present, then Y, then X."""
-    return elimination_order(ring, tuple(b for b in ring.block_names if b == "S"))
+    """Default order for a ring: Y by grevlex, then X by lex, then the rest."""
+    return elimination_order(ring, ())
 
 
 def elimination_order(ring: RingSpec, drop_blocks: tuple[str, ...]) -> OrderSpec:

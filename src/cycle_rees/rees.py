@@ -86,7 +86,7 @@ def sym_relations(spec: PathIdealSpec) -> Ideal:
 def graph_ideal(spec: PathIdealSpec) -> Ideal:
     """The ideal (y_j - u_j s) in K[y, x, s] presenting the monomial map."""
     n, t = spec.n, spec.t
-    ring = cycle_ring(n, with_s=True)
+    ring = RingSpec(cycle_ring(n).blocks + (("S", ("s",)),))
     return Ideal(ring, [_binomial(ring, _y(n, j), [*_x(n, *range(j, j + t)), "s"]) for j in range(1, n + 1)])
 
 
@@ -99,9 +99,8 @@ def rees_ideal(spec: PathIdealSpec, budget: Budget | None = None) -> Ideal:
     return eliminate(graph_ideal(spec), ["S"], budget)
 
 
-def fiber_ideal(spec: PathIdealSpec, budget: Budget | None = None, rees: Ideal | None = None) -> Ideal:
-    """The fiber relations: intersection of the Rees ideal with K[y]."""
-    J = rees if rees is not None else rees_ideal(spec, budget)
+def fiber_ideal(J: Ideal, budget: Budget | None = None) -> Ideal:
+    """The fiber relations: intersection of the Rees ideal J with K[y]."""
     return eliminate(J, ["X"], budget)
 
 
@@ -244,7 +243,7 @@ def pfaffian_fiber_sign(n: int) -> tuple[int, Polynomial]:
     matrix = jacobian_dual(n)
     pf = pfaffian(matrix)
     fam = family_n_minus_2(n)
-    h = fam["h"].project_to(*cycle_ring(n).restrict(["Y"]))
+    h = fam["h"].to_ring(y_ring(n))
     if pf == h:
         return 1, pf
     if pf == -h:

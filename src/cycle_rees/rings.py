@@ -69,35 +69,33 @@ class RingSpec:
 
     @cached_property
     def display_indices(self) -> tuple[int, ...]:
-        """Variable indices in printing order: X block, Y block, S, then rest.
+        """Variable indices in printing order: X block, Y block, then the rest.
 
         Other blocks keep their declaration order.  Within a block, variables
         print by ascending numeric suffix (none sorts first, ties keep
         declaration order) so that monomial text looks like ``x0*x1*y2``.
         """
-        preference = {"X": 0, "Y": 1, "S": 2}
+        preference = {"X": 0, "Y": 1}
 
         def suffix(name: str) -> int:
             m = re.fullmatch(r"[A-Za-z]+(\d+)", name)
             return int(m.group(1)) if m else -1
 
-        blocks = sorted(self.blocks, key=lambda b: preference.get(b[0], 3))
+        blocks = sorted(self.blocks, key=lambda b: preference.get(b[0], 2))
         return tuple(self.var_index[v] for _, names in blocks for v in sorted(names, key=suffix))
 
-    def restrict(self, keep_blocks: Iterable[str]) -> tuple["RingSpec", tuple[int, ...]]:
-        """Subring on the given blocks, plus the kept variable indices."""
+    def restrict(self, keep_blocks: Iterable[str]) -> "RingSpec":
+        """Subring on the given blocks, in this ring's block order."""
         keep = tuple(keep_blocks)
         blocks = tuple((name, names) for name, names in self.blocks if name in keep)
         if len(blocks) != len(keep):
             missing = set(keep) - {name for name, _ in blocks}
             raise RingError(f"unknown blocks {sorted(missing)}")
-        sub = RingSpec(blocks)
-        indices = tuple(self.var_index[v] for v in sub.variables)
-        return sub, indices
+        return RingSpec(blocks)
 
 
-def cycle_ring(n: int, with_s: bool = False) -> RingSpec:
-    """The ring K[y1..y0, x1..x0(, s)] attached to the n-cycle.
+def cycle_ring(n: int) -> RingSpec:
+    """The ring K[y1..y0, x1..x0] attached to the n-cycle.
 
     Block-internal order is the priority order y1 > y2 > ... > y_{n-1} > y0
     (same pattern for x), so order keys can read exponents left to right.
@@ -106,18 +104,15 @@ def cycle_ring(n: int, with_s: bool = False) -> RingSpec:
         raise RingError("cycle size must be at least 3")
     ys = tuple(f"y{i % n}" for i in range(1, n + 1))
     xs = tuple(f"x{i % n}" for i in range(1, n + 1))
-    blocks: list[tuple[str, tuple[str, ...]]] = [("Y", ys), ("X", xs)]
-    if with_s:
-        blocks.append(("S", ("s",)))
-    return RingSpec(tuple(blocks))
+    return RingSpec((("Y", ys), ("X", xs)))
 
 
 def x_ring(n: int) -> RingSpec:
-    return cycle_ring(n).restrict(["X"])[0]
+    return cycle_ring(n).restrict(["X"])
 
 
 def y_ring(n: int) -> RingSpec:
-    return cycle_ring(n).restrict(["Y"])[0]
+    return cycle_ring(n).restrict(["Y"])
 
 
 # -- monomial helpers (monomials are plain exponent tuples) --
@@ -192,10 +187,6 @@ class Polynomial:
         idxs = self.ring.block_indices(block)
         return {sum(e[i] for i in idxs) for e in self._terms}
 
-    def involves(self, var_indices: Iterable[int]) -> bool:
-        idxs = tuple(var_indices)
-        return any(e[i] for e in self._terms for i in idxs)
-
     # -- arithmetic --
 
     def _require_same_ring(self, other: "Polynomial") -> None:
@@ -259,28 +250,19 @@ class Polynomial:
 
     # -- ring maps --
 
-    def extend_to(self, ring: RingSpec) -> "Polynomial":
-        """Reinterpret in a larger ring containing all our variables by name."""
-        try:
-            pos = [ring.var_index[v] for v in self.ring.variables]
-        except KeyError as exc:
-            raise RingError(f"target ring lacks variable {exc.args[0]!r}") from None
+    def to_ring(self, ring: RingSpec) -> "Polynomial":
+        """This polynomial in ``ring``, variables matched by name; RingError if
+        a variable that occurs here is missing there (others need not be)."""
+        pos = [ring.var_index.get(v) for v in self.ring.variables]
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
             vec = [0] * ring.nvars
-            for p, e in zip(pos, exps):
-                vec[p] = e
+            for name, p, e in zip(self.ring.variables, pos, exps):
+                if e:
+                    if p is None:
+                        raise RingError(f"target ring lacks variable {name!r}")
+                    vec[p] = e
             out[tuple(vec)] = coeff
-        return Polynomial(ring, out)
-
-    def project_to(self, ring: RingSpec, indices: tuple[int, ...]) -> "Polynomial":
-        """Drop all variables outside ``indices`` (they must not occur)."""
-        keep = set(indices)
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            if any(e and i not in keep for i, e in enumerate(exps)):
-                raise RingError("polynomial involves a dropped variable")
-            out[tuple(exps[i] for i in indices)] = coeff
         return Polynomial(ring, out)
 
     # -- text format --

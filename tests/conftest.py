@@ -22,7 +22,7 @@ def cached_rees(n: int, t: int) -> Ideal:
 def cached_fiber(n: int, t: int) -> Ideal:
     key = (n, t)
     if key not in _FIBER:
-        _FIBER[key] = fiber_ideal(PathIdealSpec(n, t), rees=cached_rees(n, t))
+        _FIBER[key] = fiber_ideal(cached_rees(n, t))
     return _FIBER[key]
 
 

@@ -134,7 +134,7 @@ def test_c5_rees_structure():
             J = cached_rees(n, t)
             L = cached_sym(n, t)
             H = cached_fiber(n, t)
-            LH = Ideal(J.ring, list(L.generators) + [p.extend_to(J.ring) for p in H.generators])
+            LH = Ideal(J.ring, list(L.generators) + [p.to_ring(J.ring) for p in H.generators])
             assert ideal_equal(J, LH), f"even n={n}, t={t}"
             if t == n - 2:
                 assert not ideal_equal(J, L), f"even n={n} should not be of linear type"

@@ -211,6 +211,13 @@ def test_budget_secs_flag_must_be_positive(capsys):
     assert code == 0 and out.strip() == "linear"
 
 
+def test_table_jobs_must_be_positive(capsys):
+    for bad in ("0", "-3"):
+        code, out = invoke("table", "--n-min", "3", "--n-max", "4", "--jobs", bad)
+        assert code == 2 and out == "", bad
+        assert "--jobs" in capsys.readouterr().err
+
+
 def test_csv_only_on_record_commands(capsys):
     for argv in (
         ("fiber-dim", "--n", "6", "--t", "3"),

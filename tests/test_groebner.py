@@ -24,7 +24,7 @@ from cycle_rees.groebner import (
     is_groebner_basis,
     normal_form,
 )
-from cycle_rees.orders import OrderSpec, product_order
+from cycle_rees.orders import OrderSpec, elimination_order, product_order
 from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal, sym_relations
 from cycle_rees.rings import (
     Polynomial,
@@ -214,6 +214,17 @@ def test_eliminate_s_then_x(rees_cache, fiber_cache):
     assert fiber_cache(5, 2).is_zero_ideal()
 
 
+def test_eliminate_drops_a_middle_block():
+    ring = RingSpec((("A", ("a",)), ("B", ("b1", "b2")), ("C", ("c",))))
+    ideal = Ideal(ring, [parse_polynomial(ring, text) for text in ("a - b1*b2", "b1 - c", "b2 - c")])
+    # under (B grevlex, A lex, C lex) the reduced basis is b1 - c, b2 - c, a - c^2
+    result = eliminate(ideal, ["B"])
+    sub = RingSpec((("A", ("a",)), ("C", ("c",))))
+    assert result.ring == sub
+    assert result.generators == (parse_polynomial(sub, "a - c^2"),)
+    assert result.groebner_basis() == result.generators
+
+
 def test_eliminate_nothing_is_identity(rees_cache):
     J = rees_cache(4, 2)
     assert eliminate(J, []) is J
@@ -222,7 +233,7 @@ def test_eliminate_nothing_is_identity(rees_cache):
 def test_budget_exceeded_is_distinct():
     G = graph_ideal(PathIdealSpec(8, 6))
     with pytest.raises(BudgetExceeded):
-        G.groebner_basis(budget=Budget(max_steps=5))
+        G.groebner_basis(elimination_order(G.ring, ("S",)), Budget(max_steps=5))
 
 
 def test_time_budget_is_honoured_by_a_long_elimination():

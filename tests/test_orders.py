@@ -7,12 +7,14 @@ from hypothesis import given, strategies as st
 
 from cycle_rees.classify import artinian_reduction_ideal
 from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, monomial_cmp, product_order
+from cycle_rees.rees import PathIdealSpec, graph_ideal
 from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_mul, parse_polynomial
 
 from oracles import reference_key
 
 R5 = cycle_ring(5)
 R4 = cycle_ring(4)
+S4 = graph_ideal(PathIdealSpec(4, 2)).ring  # K[y, x, s]
 PO5 = product_order(R5)
 PO4 = product_order(R4)
 
@@ -48,11 +50,10 @@ def test_x_lex_breaks_ties():
 
 
 def test_elimination_order_puts_s_first():
-    ring = cycle_ring(4, with_s=True)
-    order = elimination_order(ring, ("S",))
-    s = mono(ring, "s")
-    big = mono(ring, "y1^5*x1^5")
-    assert monomial_cmp(order, ring, s, big) == 1
+    order = elimination_order(S4, ("S",))
+    s = mono(S4, "s")
+    big = mono(S4, "y1^5*x1^5")
+    assert monomial_cmp(order, S4, s, big) == 1
 
 
 def test_order_must_cover_ring():
@@ -122,14 +123,11 @@ def test_leading_terms_of_family_members():
         leading_term(PO6, Polynomial.zero(R6))
 
 
-def test_canonical_order_eliminates_s_first():
-    ring = cycle_ring(4, with_s=True)
-    assert canonical_order(ring) == elimination_order(ring, ("S",))
+def test_product_order_rejects_graph_ring():
     with pytest.raises(RingError):
-        product_order(ring)
+        product_order(S4)
 
 
-S4 = cycle_ring(4, with_s=True)
 ART7_RING, ART7_ORDER, _ = artinian_reduction_ideal(7)
 MIXED = RingSpec((("A", ("a",)), ("B", ("b1", "b2")), ("C", ("c",)), ("D", ("d1", "d2", "d3"))))
 # product, S-elimination, single-block lex, non-contiguous stages and the

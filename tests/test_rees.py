@@ -15,6 +15,7 @@ from cycle_rees.rees import (
     family_half,
     family_n_minus_2,
     fiber_ideal_closed_form,
+    graph_ideal,
     jacobian_dual,
     path_ideal,
     pfaffian,
@@ -35,6 +36,12 @@ def test_sym_relations_match_lcm_syzygy_oracle():
         for t in range(1, n):
             spec = PathIdealSpec(n, t)
             assert list(sym_relations(spec).generators) == lcm_syzygies(spec), (n, t)
+
+
+def test_graph_ring_is_the_cycle_ring_plus_s_last():
+    ring = graph_ideal(PathIdealSpec(4, 2)).ring
+    assert ring.blocks == cycle_ring(4).blocks + (("S", ("s",)),)
+    assert ring.variables[-1] == "s"
 
 
 def test_path_ideal_windows():
@@ -184,7 +191,7 @@ def test_sym_and_fiber_relations_lie_in_rees_ideal(rees_cache, sym_cache, fiber_
         for g in sym_cache(n, t).generators:
             assert ideal_membership(g, J, order), (n, t)
         for g in fiber_cache(n, t).generators:
-            assert ideal_membership(g.extend_to(J.ring), J, order), (n, t)
+            assert ideal_membership(g.to_ring(J.ring), J, order), (n, t)
 
 
 def test_rees_initial_ideal_squarefree_half_case(rees_cache):

@@ -28,12 +28,11 @@ def P(text: str, ring=R6) -> Polynomial:
 
 def test_cycle_ring_layout():
     assert R6.variables == ("y1", "y2", "y3", "y4", "y5", "y0", "x1", "x2", "x3", "x4", "x5", "x0")
-    assert cycle_ring(4, with_s=True).variables[-1] == "s"
     assert x_ring(5).variables == ("x1", "x2", "x3", "x4", "x0")
     assert y_ring(3).variables == ("y1", "y2", "y0")
 
 
-def test_display_order_puts_x_y_s_first_then_declared_blocks():
+def test_display_order_puts_x_y_first_then_declared_blocks():
     ring = RingSpec(
         (
             ("W", ("w2", "b", "w1")),
@@ -44,7 +43,7 @@ def test_display_order_puts_x_y_s_first_then_declared_blocks():
         )
     )
     assert [ring.variables[i] for i in ring.display_indices] == [
-        "x", "x2", "x10", "y", "y1", "y3", "s", "b", "w1", "w2", "q", "q2", "a2", "q10",
+        "x", "x2", "x10", "y", "y1", "y3", "b", "w1", "w2", "s", "q", "q2", "a2", "q10",
     ]
 
 
@@ -133,16 +132,43 @@ def test_parse_is_total_on_its_alphabet(text):
 def test_extend_and_project():
     small = y_ring(6)
     h = parse_polynomial(small, "y1*y3*y5 - y0*y2*y4")
-    big = h.extend_to(R6)
+    big = h.to_ring(R6)
     assert big.to_text() == h.to_text()
-    assert big.project_to(small, tuple(R6.var_index[v] for v in small.variables)) == h
+    assert big.to_ring(small) == h
     with pytest.raises(RingError):
-        P("x1*y1").project_to(small, tuple(R6.var_index[v] for v in small.variables))
+        P("x1*y1").to_ring(small)
 
 
 exponents6 = st.tuples(*([st.integers(min_value=0, max_value=3)] * R6.nvars))
 coeffs = st.fractions(min_value=-4, max_value=4).filter(lambda c: c != 0)
 polys6 = st.dictionaries(exponents6, coeffs, max_size=5).map(lambda d: Polynomial(R6, d))
+
+
+# sparse: each term names at most three variables, so many polynomials miss a given one
+sparse_exps6 = st.dictionaries(st.integers(min_value=0, max_value=R6.nvars - 1), st.integers(min_value=1, max_value=3), max_size=3)
+sparse_polys6 = st.dictionaries(
+    sparse_exps6.map(lambda d: tuple(d.get(i, 0) for i in range(R6.nvars))), coeffs, max_size=3
+).map(lambda d: Polynomial(R6, d))
+
+
+@given(sparse_polys6, st.permutations(R6.variables), st.booleans())
+def test_to_ring_round_trip_through_a_split_layout(p, shuffled, z_first):
+    # every variable but one in block A (reordered), that one alone in block Z
+    blocks = (("A", tuple(shuffled[1:])), ("Z", (shuffled[0],)))
+    layout = RingSpec(blocks[::-1] if z_first else blocks)
+    q = p.to_ring(layout)
+    assert q.to_ring(R6) == p
+    assert sorted(q.block_degrees("Z")) == sorted({e[R6.var_index[shuffled[0]]] for e in p.terms})
+
+
+@given(sparse_polys6, st.sets(st.sampled_from(R6.variables), max_size=3))
+def test_to_ring_into_a_subring_raises_exactly_on_a_dropped_variable(p, dropped):
+    sub = RingSpec((("K", tuple(v for v in R6.variables if v not in dropped)),))
+    if any(e[R6.var_index[v]] for e in p.terms for v in dropped):
+        with pytest.raises(RingError):
+            p.to_ring(sub)
+    else:
+        assert p.to_ring(sub).to_ring(R6) == p
 
 
 @given(polys6, polys6, polys6)
