@@ -9,9 +9,9 @@ the Rees ideal J (by elimination), the fiber relations H, and decides
 
 with an optional per-cell budget; cells that run out of budget are reported
 as "timeout", never guessed.  The module also hosts the closed-form fiber
-dimension, the circulant-rank cross-check, the Hilbert series closed forms,
-the Gorenstein palindromy witness, and the Cohen-Macaulay type of the
-Artinian reduction for odd n.
+dimension, the circulant-rank cross-check, the Hilbert series closed forms
+(a palindromic numerator witnesses Gorenstein, by Stanley's criterion for
+domains), and the Cohen-Macaulay type of the Artinian reduction for odd n.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import islice, repeat
 from math import comb, gcd
 
 from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal, ideal_membership
-from .linalg import matrix_rank, sparse_rank
+from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import OrderSpec, product_order
 from .rees import PathIdealSpec, _binomial, _mono, _x, fiber_ideal, rees_ideal, sym_relations
@@ -45,8 +45,7 @@ def circulant_rank(n: int, t: int) -> int:
     """
     if n < 1 or not 1 <= t <= n:
         raise ValueError("need 1 <= t <= n")
-    matrix = [[1 if (i - j) % n < t else 0 for j in range(n)] for i in range(n)]
-    return matrix_rank(matrix)
+    return sparse_rank({j: 1 for j in range(n) if (i - j) % n < t} for i in range(n))
 
 
 @dataclass
@@ -74,16 +73,6 @@ class ClassRecord:
         if include_ms:
             out["ms"] = {k: round(v, 3) for k, v in self.ms.items()}
         return out
-
-
-def is_linear_type(n: int, t: int, budget: Budget | None = None) -> bool:
-    """Whether the Rees ideal equals the symmetric-algebra relations."""
-    return _verdict(PathIdealSpec(n, t), budget, {})[0] == "linear"
-
-
-def is_fiber_type(n: int, t: int, budget: Budget | None = None) -> bool:
-    """Whether the Rees ideal equals L + H T (linear type included)."""
-    return _verdict(PathIdealSpec(n, t), budget, {})[0] in ("linear", "fiber")
 
 
 def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -> tuple[str, str | None]:
@@ -204,15 +193,6 @@ def verify_hilbert(n: int, budget: Budget | None = None) -> bool:
     J = rees_ideal(spec, budget)
     K = initial_ideal(J, product_order(J.ring), budget)
     return hilbert_numerator(K) == hilbert_closed_form_n_minus_2(n)
-
-
-def gorenstein_witness(n: int) -> bool:
-    """Palindromy of the Hilbert numerator (Stanley's criterion for domains).
-
-    True for every even n; odd n comes out False and serves as the negative
-    control.
-    """
-    return hilbert_closed_form_n_minus_2(n).is_palindromic()
 
 
 # -- Cohen-Macaulay type for odd n via the Artinian reduction --

@@ -8,7 +8,7 @@ stay small.  No floating point, no rational arithmetic.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 SparseRow = dict[int, int]
 
@@ -44,8 +44,3 @@ def sparse_rank(rows: Iterable[SparseRow]) -> int:
                 combined[c] = combined.get(c, 0) - b * v
             row = _normalize(combined)
     return len(pivots)
-
-
-def matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of a dense integer matrix via the sparse eliminator."""
-    return sparse_rank({j: v for j, v in enumerate(row) if v} for row in matrix)

@@ -90,15 +90,6 @@ class OrderSpec:
         return [{"blocks": list(blocks), "base": base} for blocks, base in self.stages]
 
 
-def monomial_cmp(order: OrderSpec, ring: RingSpec, a: Exponents, b: Exponents) -> int:
-    """-1, 0 or 1 as a <, =, > b under the order."""
-    if len(a) != ring.nvars or len(b) != ring.nvars:
-        raise RingError("exponent vector length does not match ring")
-    key = order.key_function(ring)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def leading_term(order: OrderSpec, p) -> tuple[Exponents, "object"]:
     """Maximal (monomial, coefficient) of a nonzero polynomial under order."""
     if p.is_zero():

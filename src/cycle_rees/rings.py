@@ -86,12 +86,11 @@ class RingSpec:
 
     def restrict(self, keep_blocks: Iterable[str]) -> "RingSpec":
         """Subring on the given blocks, in this ring's block order."""
-        keep = tuple(keep_blocks)
-        blocks = tuple((name, names) for name, names in self.blocks if name in keep)
-        if len(blocks) != len(keep):
-            missing = set(keep) - {name for name, _ in blocks}
-            raise RingError(f"unknown blocks {sorted(missing)}")
-        return RingSpec(blocks)
+        keep = set(keep_blocks)
+        unknown = keep - set(self.block_names)
+        if unknown:
+            raise RingError(f"unknown blocks {sorted(unknown)}")
+        return RingSpec(tuple((name, names) for name, names in self.blocks if name in keep))
 
 
 def cycle_ring(n: int) -> RingSpec:
@@ -148,10 +147,6 @@ class Polynomial:
     @classmethod
     def one(cls, ring: RingSpec) -> "Polynomial":
         return cls(ring, {ring.one_exps(): Fraction(1)})
-
-    @classmethod
-    def constant(cls, ring: RingSpec, value: int | Fraction) -> "Polynomial":
-        return cls(ring, {ring.one_exps(): Fraction(value)})
 
     @classmethod
     def variable(cls, ring: RingSpec, name: str) -> "Polynomial":

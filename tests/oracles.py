@@ -53,7 +53,14 @@ def lcm_syzygies(spec: PathIdealSpec) -> list[Polynomial]:
     return gens
 
 
-# -- monomial orders: the stage-by-stage key the compiled key must agree with --
+# -- monomial orders: comparison through the compiled key, and the
+# stage-by-stage key the compiled key must agree with --
+
+
+def compare(order: OrderSpec, ring: RingSpec, a: Exponents, b: Exponents) -> int:
+    """-1, 0 or 1 as a <, =, > b under the order."""
+    key = order.key_function(ring)
+    return (key(a) > key(b)) - (key(a) < key(b))
 
 
 def reference_key(order: OrderSpec, ring: RingSpec) -> KeyFunction:

@@ -15,15 +15,13 @@ from cycle_rees.classify import (
     cm_type_odd,
     conjecture_fiber_iff_divides,
     fiber_dimension,
-    gorenstein_witness,
     hilbert_closed_form_n_minus_2,
-    is_fiber_type,
-    is_linear_type,
     render_table,
     verify_hilbert,
 )
 from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries
+from cycle_rees.rees import PathIdealSpec, rees_ideal
 from cycle_rees.rings import parse_polynomial
 
 from oracles import GLYPH, KNOWN_GRID, known_linear, known_not_linear
@@ -48,15 +46,15 @@ def test_circulant_rank_matches_gcd_formula():
 
 
 def test_is_linear_type_examples():
-    assert is_linear_type(5, 3)
-    assert not is_linear_type(6, 2)
-    assert not is_linear_type(6, 3)
+    assert classify(5, 3).klass == "linear"
+    assert classify(6, 2).klass != "linear"
+    assert classify(6, 3).klass != "linear"
 
 
 def test_is_fiber_type_examples():
-    assert is_fiber_type(8, 4)
-    assert not is_fiber_type(7, 4)
-    assert is_fiber_type(6, 5)  # linear type implies fiber type
+    assert classify(8, 4).klass in ("linear", "fiber")
+    assert classify(7, 4).klass == "neither"
+    assert classify(6, 5).klass == "linear"  # linear type implies fiber type
 
 
 def test_classify_rows_match_known_grid():
@@ -64,19 +62,14 @@ def test_classify_rows_match_known_grid():
     for n in range(3, 9):
         row = "".join(GLYPH[r.klass] for r in records if r.n == n)
         assert row == KNOWN_GRID[n], f"n={n}: {row} != {KNOWN_GRID[n]}"
-    # linear implies fiber type, and the fiber dimension formula holds
+    # the fiber dimension formula holds, and every neither cell has a witness
     for r in records:
         assert r.fiber_dim == r.n - r.gcd + 1
-        # the predicates answer through the same verdict as classify
-        if r.n <= 7:
-            assert is_linear_type(r.n, r.t) == (r.klass == "linear"), (r.n, r.t)
-        if r.n <= 7 or r.klass == "linear":
-            assert is_fiber_type(r.n, r.t) == (r.klass in ("linear", "fiber")), (r.n, r.t)
         if r.klass == "neither":
             assert r.witness
-    # out of budget is an exception, never a False
+    # out of budget is an exception, never a wrong basis
     with pytest.raises(BudgetExceeded):
-        is_linear_type(9, 5, Budget(max_steps=1))
+        rees_ideal(PathIdealSpec(9, 5), Budget(max_steps=1))
 
 
 def test_classify_single_cell():
@@ -145,11 +138,11 @@ def test_verify_hilbert_small():
         assert verify_hilbert(n), n
 
 
-def test_gorenstein_witness():
+def test_hilbert_numerator_is_palindromic_exactly_for_even_n():
+    # palindromy is the Gorenstein witness; odd n is the negative control
     for n in (4, 6, 8, 10):
-        assert gorenstein_witness(n)
+        assert hilbert_closed_form_n_minus_2(n).is_palindromic()
     for n in (3, 5, 7, 9):
-        assert not gorenstein_witness(n)
         assert not hilbert_closed_form_n_minus_2(n).is_palindromic()
 
 

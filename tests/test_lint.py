@@ -1,0 +1,57 @@
+"""Static checks on the package source, read with ``ast``: no unused imports,
+and ``__all__`` names exactly the package's public bindings."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cycle_rees
+
+PACKAGE = Path(cycle_rees.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of the import."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(declared_all(tree))  # a re-export is a use
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_all_matches_public_bindings():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(cycle_rees.__all__) == len(set(cycle_rees.__all__)), "__all__ repeats a name"
+    assert set(cycle_rees.__all__) == public
+    assert declared_all(tree) == cycle_rees.__all__

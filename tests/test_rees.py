@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from cycle_rees.groebner import Ideal, ideal_equal, ideal_membership, is_groebner_basis
+from cycle_rees.groebner import Ideal, ideal_equal, ideal_membership, is_groebner_basis, normal_form
 from cycle_rees.monomial_ideals import initial_ideal, is_squarefree, x_condition
 from cycle_rees.orders import product_order
 from cycle_rees.rees import (
@@ -279,3 +281,57 @@ def test_pfaffian_squared_is_determinant():
                     rows[j][i] = -e
             m = PolyMatrix(ring, rows)
             assert pfaffian(m) * pfaffian(m) == determinant(m)
+
+
+# -- every Rees basis the benchmark records: the monomial map and the rotation --
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "rees_digests.json"
+RECORDED_CELLS = sorted(tuple(map(int, cell.split(","))) for cell in json.loads(DIGESTS.read_text()))
+
+
+def phi(g: Polynomial, n: int, t: int) -> dict[tuple[tuple[int, ...], int], object]:
+    """g under x_i -> x_i, y_j -> x_j...x_{j+t-1} s, as (x exponents, s degree)
+    -> coefficient, by exponent arithmetic; empty exactly when g maps to 0."""
+    images = []
+    for name in g.ring.variables:
+        k = int(name[1:])
+        images.append(((k,), 0) if name[0] == "x" else ([(k + i) % n for i in range(t)], 1))
+    out: dict[tuple[tuple[int, ...], int], object] = {}
+    for exps, coeff in g.terms.items():
+        xs, s = [0] * n, 0
+        for (window, s_deg), e in zip(images, exps):
+            for k in window:
+                xs[k] += e
+            s += s_deg * e
+        key = (tuple(xs), s)
+        out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def rotate(g: Polynomial, n: int) -> Polynomial:
+    """g under x_i -> x_{i+1}, y_i -> y_{i+1}, indices mod n."""
+    ring = g.ring
+    target = [ring.var_index[f"{v[0]}{(int(v[1:]) + 1) % n}"] for v in ring.variables]
+    terms = {}
+    for exps, coeff in g.terms.items():
+        vec = [0] * ring.nvars
+        for pos, e in zip(target, exps):
+            vec[pos] = e
+        terms[tuple(vec)] = coeff
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("n,t", RECORDED_CELLS)
+def test_rees_basis_maps_to_zero(n, t, rees_cache):
+    J = rees_cache(n, t)
+    for g in J.groebner_basis(product_order(J.ring)):
+        assert not phi(g, n, t), g.to_text()
+
+
+@pytest.mark.parametrize("n,t", RECORDED_CELLS)
+def test_rees_and_fiber_ideals_are_rotation_invariant(n, t, rees_cache, fiber_cache):
+    for ideal in (rees_cache(n, t), fiber_cache(n, t)):
+        order = product_order(ideal.ring)
+        basis = ideal.groebner_basis(order)
+        for g in basis:
+            assert normal_form(rotate(g, n), basis, order).is_zero(), g.to_text()

@@ -52,6 +52,13 @@ def test_duplicate_variables_rejected():
         RingSpec((("A", ("u", "v")), ("B", ("v",))))
 
 
+def test_restrict_reads_each_block_name_once():
+    ring = RingSpec((("X", ("x",)), ("S", ("s",))))
+    assert ring.restrict(["X", "X"]) == ring.restrict(["X"]) == RingSpec((("X", ("x",)),))
+    with pytest.raises(RingError, match=r"unknown blocks \['Q'\]"):
+        ring.restrict(["X", "Q", "Q"])
+
+
 def test_cancellation():
     assert P("x1 - y1") + P("y1") == P("x1")
 
@@ -82,6 +89,13 @@ def test_negative_exponent_rejected():
         Polynomial(ring, {(2, -1): 1, (0, 0): 1})
     with pytest.raises(RingError, match="negative exponent"):
         Polynomial.monomial(ring, (0, -1))
+
+
+def test_wrong_length_exponents_rejected():
+    with pytest.raises(RingError, match="length"):
+        Polynomial(R6, {(0,) * 3: 1})
+    with pytest.raises(RingError, match="length"):
+        Polynomial.monomial(R6, (1,) * (R6.nvars + 1))
 
 
 def test_text_roundtrip_and_canonical_order():
