@@ -192,7 +192,7 @@ def verify_hilbert(n: int, budget: Budget | None = None) -> bool:
     spec = PathIdealSpec(n, n - 2)
     J = rees_ideal(spec, budget)
     K = initial_ideal(J, product_order(J.ring), budget)
-    return hilbert_numerator(K) == hilbert_closed_form_n_minus_2(n)
+    return hilbert_numerator(K, budget=budget) == hilbert_closed_form_n_minus_2(n)
 
 
 # -- Cohen-Macaulay type for odd n via the Artinian reduction --

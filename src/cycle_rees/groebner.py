@@ -270,17 +270,30 @@ def _gm_update(
 
     ``alive`` maps each live pair to its lcm, so the chain criterion and the
     S-polynomial read it instead of recomputing it; the newcomer's lcms are
-    computed once.
+    computed once.  This runs once per basis element and scans the basis and
+    every live pair, so the packed lcm and divisibility tests are inlined.
     """
     t = len(basis)
     lf = new[0]
     guard = engine.guard
-    new_lcms = [_packed_lcm(lead, lf, guard) for lead, _ in basis]
+    # lcm(lead, lf) is lf plus lead's excess over lf, the fields of
+    # (lead | guard) - lf that kept their guard bit (as in _packed_lcm)
+    new_lcms = [
+        lf + (diff & (kept - (kept >> 15)))
+        for lead, _ in basis
+        for diff in ((lead | guard) - lf,)
+        for kept in (diff & guard,)
+    ]
 
-    # chain criterion: drop old pairs strictly dominated by the newcomer
-    for (i, j), lcm_ij in list(alive.items()):
-        if _packed_divides(lf, lcm_ij, guard) and lcm_ij != new_lcms[i] and lcm_ij != new_lcms[j]:
-            del alive[i, j]
+    # chain criterion: drop old pairs strictly dominated by the newcomer, that
+    # is, whose lcm the newcomer's lead divides
+    dominated = [
+        ij
+        for ij, lcm in alive.items()
+        if ((lcm | guard) - lf) & guard == guard and lcm != new_lcms[ij[0]] and lcm != new_lcms[ij[1]]
+    ]
+    for ij in dominated:
+        del alive[ij]
 
     # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
     # divisor packs to a smaller int, so int order meets divisors first
@@ -289,9 +302,11 @@ def _gm_update(
         lcm_groups.setdefault(lcm, []).append(i)
     minimal: list[int] = []
     for lcm in sorted(lcm_groups):
-        # not _packed_divides(prev, lcm, guard), inlined in this quadratic scan
         lg = lcm | guard
-        if all((lg - prev) & guard != guard for prev in minimal):
+        for prev in minimal:
+            if (lg - prev) & guard == guard:
+                break
+        else:
             minimal.append(lcm)
     key = engine.key
     pushed = []
@@ -299,8 +314,11 @@ def _gm_update(
         group = lcm_groups[lcm]
         # coprime criterion: if any pair in the group has coprime leads, all
         # pairs with this lcm are redundant
-        if all(basis[i][0] + lf != lcm for i in group):
-            pushed.append((key(lcm), lcm, min(group)))
+        for i in group:
+            if basis[i][0] + lf == lcm:
+                break
+        else:
+            pushed.append((key(lcm), lcm, group[0]))  # groups ascend
     # FIFO ties among equal degrees follow the term order of the lcms
     pushed.sort()
     for _, lcm, i in pushed:
@@ -368,7 +386,11 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
     guard = engine.guard
     minimal: list[Reducer] = []
     for rec in sorted(basis, key=lambda rec: key(rec[0])):
-        if all(not _packed_divides(prev, rec[0], guard) for prev, _ in minimal):
+        lg = rec[0] | guard
+        for prev, _ in minimal:
+            if (lg - prev) & guard == guard:  # _packed_divides(prev, rec[0], guard)
+                break
+        else:
             minimal.append(rec)
     return tuple(
         Polynomial(engine.ring, engine.unpack(engine.reduce_full({lead: 1, **tail}, minimal[:pos])))

@@ -1,11 +1,20 @@
 """Monomial-ideal analytics: initial ideals, Hilbert series, witnesses.
 
-The Hilbert series of T/M is computed exactly by pivot recursion,
+The Hilbert series of T/M is K(M) / (1-z)^nvars, and the K-polynomial is
+computed exactly (Bayer-Stillman 1992, Bigatti 1997).  First the minimal
+generators are split into classes that share no variable; the K-polynomial of
+a sum of ideals in disjoint variables is the product of theirs,
 
-    HS(T/M) = HS(T/(M + (p))) + z^deg(p) * HS(T/(M : p)),
+    K(M1 + M2) = K(M1) * K(M2).
 
-pivoting on a variable that occurs in the most minimal generators; ideals
-generated by pure powers are the complete-intersection base case.  Series are
+A class of one generator of degree d gives 1 - z^d, which covers the unit
+ideal (d = 0) and every complete intersection of pure powers.  A class of at
+least two generators is memoised by its generator tuple and taken apart by
+pivot recursion,
+
+    K(M) = K(M + (p)) + z^deg(p) * K(M : p),
+
+on a variable p that occurs in the most minimal generators.  Series are
 reported as an integer numerator over (1-z)^e in lowest terms.
 """
 
@@ -52,9 +61,6 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def contains_one(self) -> bool:
-        return any(not any(g) for g in self.gens)
 
     def contains(self, exps: Exponents) -> bool:
         return any(mono_divides(g, exps) for g in self.gens)
@@ -140,38 +146,70 @@ PivotChooser = Callable[[tuple[Exponents, ...]], int]
 
 
 def pivot_most_frequent(gens: tuple[Exponents, ...]) -> int:
-    """Variable in the support of a non-pure-power generator, maximizing the
-    number of generators it divides; ties broken by lowest index."""
-    nvars = len(gens[0])
-    candidates = set()
-    for g in gens:
-        if sum(1 for e in g if e) > 1:
-            candidates.update(i for i, e in enumerate(g) if e)
-    counts = [sum(1 for g in gens if g[i]) for i in range(nvars)]
-    return max(sorted(candidates), key=lambda i: counts[i])
+    """The variable that divides the most generators, the lowest index among
+    ties.
+
+    It is only called on a connected ideal with at least 2 generators.  There
+    every variable of a generator also occurs in a generator that is not a
+    pure power, so the variable chosen is one of those.
+    """
+    counts = [sum(1 for g in gens if g[i]) for i in range(len(gens[0]))]
+    return counts.index(max(counts))
 
 
-def _numerator(ideal: MonomialIdeal, pivot: PivotChooser, memo: dict) -> list[int]:
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """a * b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b, i):
+            out[j] += c * d
+    return out
+
+
+def _classes(ideal: MonomialIdeal) -> list[MonomialIdeal]:
+    """The minimal generators grouped into classes that share no variable,
+    each class in the ideal's generator order."""
+    classes: list[tuple[set[int], list[int]]] = []  # (variables, generator positions)
+    for k, g in enumerate(ideal.gens):
+        support = {i for i, e in enumerate(g) if e}
+        members = [k]
+        apart = []
+        for variables, positions in classes:
+            if variables & support:
+                support |= variables
+                members += positions
+            else:
+                apart.append((variables, positions))
+        classes = apart + [(support, members)]
+    return [MonomialIdeal(ideal.ring, tuple(ideal.gens[k] for k in sorted(ks))) for _, ks in classes]
+
+
+def _numerator(ideal: MonomialIdeal, pivot: PivotChooser, memo: dict, budget: Budget) -> list[int]:
     """K-polynomial of T/M: HS = K / (1-z)^nvars."""
-    gens = ideal.gens
-    if ideal.contains_one():
-        return [0]
-    if all(sum(1 for e in g if e) == 1 for g in gens):
-        # pure powers: complete intersection, K = prod (1 - z^deg)
-        out = [1]
-        for g in gens:
-            out = _add_shifted(out, [-c for c in out], sum(g))
-        return out
-    cached = memo.get(gens)
-    if cached is None:
-        i = pivot(gens)
-        p = tuple(1 if k == i else 0 for k in range(ideal.ring.nvars))
-        plus = _numerator(sum_mono(ideal, p), pivot, memo)
-        cached = memo[gens] = _add_shifted(plus, _numerator(colon_mono(ideal, p), pivot, memo), 1)
-    return cached
+    budget.check_deadline()
+    out = [1]
+    for part in _classes(ideal):
+        gens = part.gens
+        if len(gens) == 1:
+            k = _add_shifted([1], [-1], sum(gens[0]))  # 1 - z^d
+        else:
+            k = memo.get(gens)
+            if k is None:
+                i = pivot(gens)
+                p = tuple(1 if v == i else 0 for v in range(ideal.ring.nvars))
+                plus = _numerator(sum_mono(part, p), pivot, memo, budget)
+                k = memo[gens] = _add_shifted(plus, _numerator(colon_mono(part, p), pivot, memo, budget), 1)
+        out = _times(out, k)
+    return out
 
 
-def hilbert_numerator(ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_frequent) -> HilbertSeries:
-    """Exact Hilbert series of T/M under the standard grading, canonical form."""
-    num = _numerator(ideal, pivot, {})
+def hilbert_numerator(
+    ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_frequent, budget: Budget | None = None
+) -> HilbertSeries:
+    """Exact Hilbert series of T/M under the standard grading, canonical form.
+
+    The budget's deadline is checked once per recursion node; no step is
+    counted.
+    """
+    num = _numerator(ideal, pivot, {}, budget or Budget())
     return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()

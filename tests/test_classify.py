@@ -20,8 +20,9 @@ from cycle_rees.classify import (
     verify_hilbert,
 )
 from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberger, normal_form
-from cycle_rees.monomial_ideals import HilbertSeries
-from cycle_rees.rees import PathIdealSpec, rees_ideal
+from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal, hilbert_numerator
+from cycle_rees.orders import product_order
+from cycle_rees.rees import PathIdealSpec, family_n_minus_2, rees_ideal
 from cycle_rees.rings import parse_polynomial
 
 from oracles import GLYPH, KNOWN_GRID, known_linear, known_not_linear
@@ -136,6 +137,18 @@ def test_hilbert_closed_forms():
 def test_verify_hilbert_small():
     for n in (3, 4, 5, 6, 7):
         assert verify_hilbert(n), n
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_family_leads_have_the_closed_form_series(n):
+    """The leading monomials of the t = n-2 family under the product order
+    span an ideal with the closed-form series: the Hilbert half of certifying
+    that family, for rows far beyond those whose Rees ideal is computed."""
+    fam = list(family_n_minus_2(n).values())
+    ring = fam[0].ring
+    key = product_order(ring).key_function(ring)
+    leads = MonomialIdeal.from_exponents(ring, [max(g.monomials(), key=key) for g in fam])
+    assert hilbert_numerator(leads) == hilbert_closed_form_n_minus_2(n)
 
 
 def test_hilbert_numerator_is_palindromic_exactly_for_even_n():
