@@ -19,16 +19,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, gcd
 
 from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal, ideal_membership
 from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
-from .orders import OrderSpec, product_order
-from .rees import PathIdealSpec, _binomial, _mono, _x, fiber_ideal, rees_ideal, sym_relations
-from .rings import InvariantError, Polynomial, RingSpec
+from .orders import product_order
+from .rees import PathIdealSpec, artinian_reduction_ideal, fiber_ideal, rees_ideal, sym_relations
+from .rings import InvariantError
 
 
 def fiber_dimension(n: int, t: int) -> int:
@@ -198,20 +197,6 @@ def verify_hilbert(n: int, budget: Budget | None = None) -> bool:
 # -- Cohen-Macaulay type for odd n via the Artinian reduction --
 
 
-def artinian_reduction_ideal(n: int) -> tuple[RingSpec, OrderSpec, list[Polynomial]]:
-    """The ideal presenting the Artinian reduction of the Rees algebra, odd n.
-
-    In K[x1..x_{n-1}] under lex x1 > ... > x_{n-1}:
-    (x_i^2 - x_{i+1}x_{i+2} for i <= n-3, x_{n-2}^2, x_{n-1}^2, x_1 x_2).
-    """
-    ring = RingSpec((("X", tuple(_x(n, *range(1, n)))),))
-    order = OrderSpec(((("X",), "lex"),))
-    gens = [_binomial(ring, _x(n, i, i), _x(n, i + 1, i + 2)) for i in range(1, n - 2)]
-    for names in (_x(n, n - 2, n - 2), _x(n, n - 1, n - 1), _x(n, 1, 2)):
-        gens.append(Polynomial.monomial(ring, _mono(ring, names)))
-    return ring, order, gens
-
-
 def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     """Socle dimension of the Artinian reduction, i.e. the CM type, odd n."""
     if n < 3 or n % 2 == 0:
@@ -236,19 +221,15 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     index = {m: c for c, m in enumerate(standard)}
     size = len(standard)
 
-    # every x_i * b, reduced against one set of basis records as it is read
+    # every x_i * b, reduced against one set of basis records as it is read;
+    # the basis is pure-difference binomials and monomials, so each normal
+    # form is 0 or one monomial with coefficient 1, and rows are integral
     shifted = ({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
     nfs = _normal_forms(ring, shifted, gb, order, budget)
-    rows = []
-    for _ in standard:
-        row: dict[int, int | Fraction] = {}
-        for i, nf in enumerate(islice(nfs, ring.nvars)):
-            for exps, coeff in nf.items():
-                row[i * size + index[exps]] = coeff
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        rows.append({c: int(v * denom) for c, v in row.items()})
+    rows = [
+        {i * size + index[exps]: coeff for i, nf in enumerate(islice(nfs, ring.nvars)) for exps, coeff in nf.items()}
+        for _ in standard
+    ]
     return size - sparse_rank(rows)
 
 

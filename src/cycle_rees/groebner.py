@@ -11,8 +11,9 @@ element is held once, as a monic record (lead, tail terms); S-polynomials
 are built from the two tails, since the monic leads cancel.  Pair handling
 uses the Gebauer-Moeller update (which subsumes the coprime and chain
 criteria) with a deterministic selection: minimal lcm degree first, FIFO
-among equals.  Reduction is full tail reduction, so bases come out reduced
-and initial ideals are canonical.
+among equals; the Groebner-basis checker walks the same pairs.  Reduction
+is full tail reduction, so bases come out reduced and initial ideals are
+canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -22,6 +23,7 @@ mathematical answer.
 from __future__ import annotations
 
 import heapq
+import itertools
 import struct
 import time
 from fractions import Fraction
@@ -86,19 +88,6 @@ def _pack(exps: Exponents) -> int:
 
 def _unpack(packed: int, nvars: int) -> Exponents:
     return struct.unpack(f"<{nvars}H", packed.to_bytes(2 * nvars, "little"))
-
-
-def _packed_lcm(a: int, b: int, guard: int) -> int:
-    # a field's guard survives (a | guard) - b exactly when a_i >= b_i;
-    # sel then spans the value bits of those fields
-    d = ((a | guard) - b) & guard
-    sel = d - (d >> 15)
-    return (a & sel) | (b & ~sel)
-
-
-def _packed_divides(a: int, b: int, guard: int) -> bool:
-    """Whether a divides b: every field keeps its guard in (b | guard) - a."""
-    return ((b | guard) - a) & guard == guard
 
 
 class _Engine:
@@ -258,82 +247,126 @@ def _normal_forms(
         yield engine.unpack(engine.reduce_full(engine.pack(f), reducers))
 
 
-def _gm_update(
-    engine: _Engine,
-    basis: list[Reducer],
-    alive: dict[tuple[int, int], int],
-    heap: list[tuple[int, int, int, int]],
-    counter: list[int],
-    new: Reducer,
-) -> None:
-    """Add a record to the basis, updating pairs per Gebauer-Moeller.
+class _Pairs:
+    """A basis of records and its S-pairs under the Gebauer-Moeller update.
 
-    ``alive`` maps each live pair to its lcm, so the chain criterion and the
-    S-polynomial read it instead of recomputing it; the newcomer's lcms are
-    computed once.  This runs once per basis element and scans the basis and
-    every live pair, so the packed lcm and divisibility tests are inlined.
+    ``alive`` maps each live pair (i, j), i < j, to the lcm of its leads; the
+    heap may still hold pairs the update has since dropped from it.
     """
-    t = len(basis)
-    lf = new[0]
-    guard = engine.guard
-    # lcm(lead, lf) is lf plus lead's excess over lf, the fields of
-    # (lead | guard) - lf that kept their guard bit (as in _packed_lcm)
-    new_lcms = [
-        lf + (diff & (kept - (kept >> 15)))
-        for lead, _ in basis
-        for diff in ((lead | guard) - lf,)
-        for kept in (diff & guard,)
-    ]
 
-    # chain criterion: drop old pairs strictly dominated by the newcomer, that
-    # is, whose lcm the newcomer's lead divides
-    dominated = [
-        ij
-        for ij, lcm in alive.items()
-        if ((lcm | guard) - lf) & guard == guard and lcm != new_lcms[ij[0]] and lcm != new_lcms[ij[1]]
-    ]
-    for ij in dominated:
-        del alive[ij]
+    __slots__ = ("engine", "basis", "alive", "heap", "counter")
 
-    # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
-    # divisor packs to a smaller int, so int order meets divisors first
-    lcm_groups: dict[int, list[int]] = {}
-    for i, lcm in enumerate(new_lcms):
-        lcm_groups.setdefault(lcm, []).append(i)
-    minimal: list[int] = []
-    for lcm in sorted(lcm_groups):
-        lg = lcm | guard
-        for prev in minimal:
-            if (lg - prev) & guard == guard:
-                break
-        else:
-            minimal.append(lcm)
-    key = engine.key
-    pushed = []
-    for lcm in minimal:
-        group = lcm_groups[lcm]
-        # coprime criterion: if any pair in the group has coprime leads, all
-        # pairs with this lcm are redundant
-        for i in group:
-            if basis[i][0] + lf == lcm:
-                break
-        else:
-            pushed.append((key(lcm), lcm, group[0]))  # groups ascend
-    # FIFO ties among equal degrees follow the term order of the lcms
-    pushed.sort()
-    for _, lcm, i in pushed:
-        counter[0] += 1
-        alive[i, t] = lcm
-        heapq.heappush(heap, (engine.degree(lcm), counter[0], i, t))
+    def __init__(self, engine: _Engine):
+        self.engine = engine
+        self.basis: list[Reducer] = []
+        self.alive: dict[tuple[int, int], int] = {}
+        self.heap: list[tuple[int, int, int, int]] = []
+        self.counter = itertools.count()
 
-    basis.append(new)
+    def insert(self, new: Reducer) -> None:
+        """Add a record to the basis, updating pairs per Gebauer-Moeller.
+
+        The newcomer's lcms are computed once, and the chain criterion and
+        the S-polynomial read each pair's lcm from ``alive``.  This scans the
+        basis and every live pair, so the packed lcm and divisibility tests
+        are inlined.
+        """
+        engine, basis, alive, heap, counter = self.engine, self.basis, self.alive, self.heap, self.counter
+        t = len(basis)
+        lf = new[0]
+        guard = engine.guard
+        # lcm(lead, lf) is lf plus lead's excess over lf, the fields of
+        # (lead | guard) - lf that kept their guard bit (packed_lcm in
+        # tests/oracles.py)
+        new_lcms = [
+            lf + (diff & (kept - (kept >> 15)))
+            for lead, _ in basis
+            for diff in ((lead | guard) - lf,)
+            for kept in (diff & guard,)
+        ]
+
+        # chain criterion: drop old pairs strictly dominated by the newcomer,
+        # that is, whose lcm the newcomer's lead divides
+        dominated = [
+            ij
+            for ij, lcm in alive.items()
+            if ((lcm | guard) - lf) & guard == guard and lcm != new_lcms[ij[0]] and lcm != new_lcms[ij[1]]
+        ]
+        for ij in dominated:
+            del alive[ij]
+
+        # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
+        # divisor packs to a smaller int, so int order meets divisors first
+        lcm_groups: dict[int, list[int]] = {}
+        for i, lcm in enumerate(new_lcms):
+            lcm_groups.setdefault(lcm, []).append(i)
+        minimal: list[int] = []
+        for lcm in sorted(lcm_groups):
+            lg = lcm | guard
+            for prev in minimal:
+                if (lg - prev) & guard == guard:
+                    break
+            else:
+                minimal.append(lcm)
+        key = engine.key
+        pushed = []
+        for lcm in minimal:
+            group = lcm_groups[lcm]
+            # coprime criterion: if any pair in the group has coprime leads,
+            # all pairs with this lcm are redundant
+            for i in group:
+                if basis[i][0] + lf == lcm:
+                    break
+            else:
+                pushed.append((key(lcm), lcm, group[0]))  # groups ascend
+        # FIFO ties among equal degrees follow the term order of the lcms
+        pushed.sort()
+        for _, lcm, i in pushed:
+            alive[i, t] = lcm
+            heapq.heappush(heap, (engine.degree(lcm), next(counter), i, t))
+
+        basis.append(new)
+
+    def remainders(self) -> Iterator[tuple[int, int, Terms]]:
+        """Pop the live pairs in order and yield (i, j, remainder) for each
+        S-polynomial whose normal form is nonzero; the caller may insert
+        before resuming."""
+        engine, basis, alive, heap = self.engine, self.basis, self.alive, self.heap
+        tick = engine.budget.tick
+        while heap:
+            _, _, i, j = heapq.heappop(heap)
+            lcm = alive.pop((i, j), None)
+            if lcm is None:
+                continue
+            tick()
+            s = _s_poly(basis[i], basis[j], lcm)
+            if not s:
+                continue
+            r = engine.reduce_full(s, basis)
+            if r:
+                yield i, j, r
 
 
-def _common_ring(polys: Sequence[Polynomial]) -> RingSpec:
-    ring = polys[0].ring
-    if any(g.ring != ring for g in polys):
+def _pairs_of(
+    polys: Sequence[Polynomial],
+    order: OrderSpec | None,
+    budget: Budget | None,
+) -> _Pairs | None:
+    """The pair state of the nonzero polys, inserted in list order, or None
+    when there are none."""
+    gens = [g for g in polys if not g.is_zero()]
+    if not gens:
+        return None
+    ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
         raise RingError("generators live in different rings")
-    return ring
+    engine = _Engine(ring, order or canonical_order(ring), budget or _NO_BUDGET)
+    pairs = _Pairs(engine)
+    for g in gens:
+        # an insertion is no step, but many of them can outlast the budget
+        engine.budget.check_deadline()
+        pairs.insert(engine.reducer(engine.pack(g.terms)))
+    return pairs
 
 
 def buchberger(
@@ -342,36 +375,12 @@ def buchberger(
     budget: Budget | None = None,
 ) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the given generators, canonically sorted."""
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
+    pairs = _pairs_of(generators, order, budget)
+    if pairs is None:
         return ()
-    ring = _common_ring(gens)
-    order = order or canonical_order(ring)
-    engine = _Engine(ring, order, budget or _NO_BUDGET)
-
-    basis: list[Reducer] = []
-    alive: dict[tuple[int, int], int] = {}
-    heap: list[tuple[int, int, int, int]] = []
-    counter = [0]
-    for g in gens:
-        # an insertion is no step, but many of them can outlast the budget
-        engine.budget.check_deadline()
-        _gm_update(engine, basis, alive, heap, counter, engine.reducer(engine.pack(g.terms)))
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        lcm = alive.pop((i, j), None)
-        if lcm is None:
-            continue
-        engine.budget.tick()
-        s = _s_poly(basis[i], basis[j], lcm)
-        if not s:
-            continue
-        r = engine.reduce_full(s, basis)
-        if r:
-            _gm_update(engine, basis, alive, heap, counter, engine.reducer(r))
-
-    return _reduce_basis(engine, basis)
+    for _, _, r in pairs.remainders():
+        pairs.insert(pairs.engine.reducer(r))
+    return _reduce_basis(pairs.engine, pairs.basis)
 
 
 def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:
@@ -388,7 +397,7 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
     for rec in sorted(basis, key=lambda rec: key(rec[0])):
         lg = rec[0] | guard
         for prev, _ in minimal:
-            if (lg - prev) & guard == guard:  # _packed_divides(prev, rec[0], guard)
+            if (lg - prev) & guard == guard:  # packed_divides(prev, rec[0]) in tests/oracles.py
                 break
         else:
             minimal.append(rec)
@@ -403,35 +412,18 @@ def is_groebner_basis(
     order: OrderSpec | None = None,
     budget: Budget | None = None,
 ) -> tuple[bool, tuple[int, int, Polynomial] | None]:
-    """Check all S-pairs reduce to zero; on failure return (i, j, remainder).
+    """Whether the nonzero polynomials of basis form a Groebner basis; on
+    failure, (i, j, remainder) for a pair of them whose S-polynomial has a
+    nonzero normal form.
 
-    Pairs with coprime leading monomials are skipped (they always reduce to
-    zero by Buchberger's first criterion).
+    The check walks the pairs Buchberger's algorithm keeps under the
+    Gebauer-Moeller update: the algorithm adds nothing to the basis exactly
+    when each of them reduces to zero.  i < j index the nonzero inputs.
     """
-    polys = [g for g in basis if not g.is_zero()]
-    if not polys:
-        return True, None
-    ring = _common_ring(polys)
-    order = order or canonical_order(ring)
-    engine = _Engine(ring, order, budget or _NO_BUDGET)
-    records = [engine.reducer(engine.pack(g.terms)) for g in polys]
-
-    pairs = []
-    for i, (lead_i, _) in enumerate(records):
-        for j in range(i + 1, len(records)):
-            lead_j = records[j][0]
-            lcm = _packed_lcm(lead_i, lead_j, engine.guard)
-            if lcm != lead_i + lead_j:
-                pairs.append((engine.degree(lcm), i, j, lcm))
-    pairs.sort()
-    for _, i, j, lcm in pairs:
-        engine.budget.tick()
-        s = _s_poly(records[i], records[j], lcm)
-        if not s:
-            continue
-        r = engine.reduce_full(s, records)
-        if r:
-            return False, (i, j, Polynomial(ring, engine.unpack(r)))
+    pairs = _pairs_of(basis, order, budget)
+    if pairs is not None:
+        for i, j, r in pairs.remainders():
+            return False, (i, j, Polynomial(pairs.engine.ring, pairs.engine.unpack(r)))
     return True, None
 
 

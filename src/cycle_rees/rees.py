@@ -3,8 +3,8 @@
 Constructs the path ideal itself, the symmetric-algebra relations, the Rees
 ideal (by eliminating the auxiliary variable s from the graph of the monomial
 map), the fiber relations, the two explicit binomial families (for t = n-2
-and t = n/2), and the skew relation matrix of the Jacobian dual together with
-its Pfaffian.
+and t = n/2), the ideal of the Artinian reduction for odd n, and the skew
+relation matrix of the Jacobian dual together with its Pfaffian.
 
 Index convention: subscripts of both x and y are cyclic modulo n, with x0 and
 xn naming the same variable.  Generator j of the path ideal is the window
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groebner import Budget, Ideal, eliminate
+from .orders import OrderSpec
 from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
 
 
@@ -152,6 +153,20 @@ def family_half(n: int) -> dict[str, Polynomial]:
     for l in range(1, half):
         out[f"h{l}"] = _binomial(ring, _y(n, l, l + half), _y(n, 0, half))
     return out
+
+
+def artinian_reduction_ideal(n: int) -> tuple[RingSpec, OrderSpec, list[Polynomial]]:
+    """The ideal presenting the Artinian reduction of the Rees algebra, odd n.
+
+    In K[x1..x_{n-1}] under lex x1 > ... > x_{n-1}:
+    (x_i^2 - x_{i+1}x_{i+2} for i <= n-3, x_{n-2}^2, x_{n-1}^2, x_1 x_2).
+    """
+    ring = RingSpec((("X", tuple(_x(n, *range(1, n)))),))
+    order = OrderSpec(((("X",), "lex"),))
+    gens = [_binomial(ring, _x(n, i, i), _x(n, i + 1, i + 2)) for i in range(1, n - 2)]
+    for names in (_x(n, n - 2, n - 2), _x(n, n - 1, n - 1), _x(n, 1, 2)):
+        gens.append(Polynomial.monomial(ring, _mono(ring, names)))
+    return ring, order, gens
 
 
 class PolyMatrix:

@@ -7,10 +7,12 @@ classification grid, the answer itself as recorded from earlier runs.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
+from cycle_rees.groebner import normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
-from cycle_rees.orders import KeyFunction, OrderSpec
+from cycle_rees.orders import KeyFunction, OrderSpec, leading_term
 from cycle_rees.rees import PathIdealSpec, PolyMatrix
 from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_mul
 
@@ -25,6 +27,43 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+# -- packed monomials: the kernels the engine inlines, as functions --
+
+
+def packed_lcm(a: int, b: int, guard: int) -> int:
+    # a field's guard survives (a | guard) - b exactly when a_i >= b_i;
+    # sel then spans the value bits of those fields
+    d = ((a | guard) - b) & guard
+    sel = d - (d >> 15)
+    return (a & sel) | (b & ~sel)
+
+
+def packed_divides(a: int, b: int, guard: int) -> bool:
+    """Whether a divides b: every field keeps its guard in (b | guard) - a."""
+    return ((b | guard) - a) & guard == guard
+
+
+# -- Groebner bases by Buchberger's criterion on every pair --
+
+
+def is_groebner_basis_all_pairs(polys: list[Polynomial], order: OrderSpec) -> bool:
+    """Whether the S-polynomial of every pair of nonzero polys, none skipped,
+    reduces to zero against them."""
+    polys = [g for g in polys if not g.is_zero()]
+
+    def monic_multiple(g: Polynomial, lcm: Exponents) -> Polynomial:
+        """(lcm / lead(g)) g / lc(g), whose leading term is lcm."""
+        lead, coeff = leading_term(order, g)
+        return g * Polynomial.monomial(g.ring, mono_div(lcm, lead), Fraction(1) / coeff)
+
+    for i, f in enumerate(polys):
+        for g in polys[i + 1 :]:
+            lcm = mono_lcm(leading_term(order, f)[0], leading_term(order, g)[0])
+            if not normal_form(monic_multiple(f, lcm) - monic_multiple(g, lcm), polys, order).is_zero():
+                return False
+    return True
 
 
 # -- symmetric-algebra relations by exponent arithmetic on lcms --

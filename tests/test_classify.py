@@ -8,7 +8,6 @@ from math import gcd
 import pytest
 
 from cycle_rees.classify import (
-    artinian_reduction_ideal,
     circulant_rank,
     classification_table,
     classify,
@@ -22,7 +21,7 @@ from cycle_rees.classify import (
 from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal, hilbert_numerator
 from cycle_rees.orders import product_order
-from cycle_rees.rees import PathIdealSpec, family_n_minus_2, rees_ideal
+from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, family_n_minus_2, rees_ideal
 from cycle_rees.rings import parse_polynomial
 
 from oracles import GLYPH, KNOWN_GRID, known_linear, known_not_linear

@@ -14,8 +14,6 @@ from cycle_rees.groebner import (
     BudgetExceeded,
     Ideal,
     _pack,
-    _packed_divides,
-    _packed_lcm,
     _unpack,
     buchberger,
     eliminate,
@@ -36,7 +34,7 @@ from cycle_rees.rings import (
     parse_polynomial,
 )
 
-from oracles import mono_lcm
+from oracles import is_groebner_basis_all_pairs, mono_lcm, packed_divides, packed_lcm
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:
@@ -325,6 +323,7 @@ def test_buchberger_output_passes_checker():
         gb = buchberger(gens, order)
         ok, _ = is_groebner_basis(list(gb), order)
         assert ok
+        assert is_groebner_basis_all_pairs(list(gb), order)
         assert_reduced_shape(gb, order)
 
 
@@ -366,23 +365,54 @@ def test_reduced_basis_ignores_generator_scaling(scaled, fractional_gen):
     assert_reduced_shape(gb, order)
 
 
+# squarefree generators keep lex bases small: with exponents up to 2, about
+# one ideal of three trinomials in 300 has a lex basis that takes seconds
+squarefree_polys = st.dictionaries(
+    st.tuples(*([st.integers(min_value=0, max_value=1)] * SMALL_RING.nvars)),
+    st.integers(min_value=-3, max_value=3),
+    min_size=1,
+    max_size=4,
+).map(lambda d: Polynomial(SMALL_RING, d))
+
+
+@given(st.lists(squarefree_polys, min_size=1, max_size=4), st.sampled_from(["lex", "grevlex"]))
+def test_checker_matches_all_pairs_oracle(polys, base):
+    order = OrderSpec(((("X",), base),))
+    ok, cert = is_groebner_basis(polys, order)
+    assert ok == is_groebner_basis_all_pairs(polys, order)
+    if not ok:
+        i, j, remainder = cert
+        nonzero = [g for g in polys if not g.is_zero()]
+        assert 0 <= i < j < len(nonzero)
+        assert not remainder.is_zero()
+        assert normal_form(remainder, nonzero, order) == remainder
+        assert normal_form(remainder, list(buchberger(polys, order)), order).is_zero()
+
+
 # exponents from both ends of a packed field, so that divisibility is common
 field = st.one_of(st.sampled_from([0, 1, 2, 2**15 - 2, 2**15 - 1]), st.integers(min_value=0, max_value=2**15 - 1))
 packable = st.tuples(*([field] * 5))
 
 
-@given(packable, packable)
-def test_packed_kernels_match_tuple_kernels(a, b):
+@given(packable, packable, packable)
+def test_packed_kernels_match_tuple_kernels(a, b, c):
     guard = _pack((2**15,) * len(a))
     pa, pb = _pack(a), _pack(b)
     assert _unpack(pa, len(a)) == a
-    assert _unpack(_packed_lcm(pa, pb, guard), len(a)) == mono_lcm(a, b)
-    assert _packed_divides(pa, pb, guard) == mono_divides(a, b)
+    assert _unpack(packed_lcm(pa, pb, guard), len(a)) == mono_lcm(a, b)
+    assert packed_divides(pa, pb, guard) == mono_divides(a, b)
     # the coprime criterion: the packed lcm is the sum exactly for coprime leads
-    assert (_packed_lcm(pa, pb, guard) == pa + pb) == (mono_lcm(a, b) == mono_mul(a, b))
+    assert (packed_lcm(pa, pb, guard) == pa + pb) == (mono_lcm(a, b) == mono_mul(a, b))
     # int order extends divisibility, so sorting packed lcms meets divisors first
     assert not mono_divides(a, b) or pa <= pb
     assert pa <= _pack(mono_lcm(a, b))
+    # the pair update stores each live pair with the lcm of its two leads
+    ring = RingSpec((("X", tuple("abcde")),))
+    pairs = groebner._Pairs(groebner._Engine(ring, OrderSpec(((("X",), "grevlex"),)), Budget()))
+    leads = [a, b, c]
+    for lead in leads:
+        pairs.insert((_pack(lead), {}))
+    assert all(lcm == _pack(mono_lcm(leads[i], leads[j])) for (i, j), lcm in pairs.alive.items())
 
 
 def test_packed_lead_exponent_limit():

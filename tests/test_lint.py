@@ -1,5 +1,6 @@
 """Static checks on the package source, read with ``ast``: no unused imports,
-and ``__all__`` names exactly the package's public bindings."""
+no unused private names, and ``__all__`` names exactly the package's public
+bindings."""
 
 from __future__ import annotations
 
@@ -55,3 +56,45 @@ def test_all_matches_public_bindings():
     assert len(cycle_rees.__all__) == len(set(cycle_rees.__all__)), "__all__ repeats a name"
     assert set(cycle_rees.__all__) == public
     assert declared_all(tree) == cycle_rees.__all__
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private module-level name and private method a module defines,
+    with its line; dunder names are the language's, not the module's."""
+    out: dict[str, int] = {}
+
+    def add(name: str, line: int) -> None:
+        if name.startswith("_") and not name.endswith("__"):
+            out[name] = line
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            add(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    add(target.id, node.lineno)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    add(item.name, item.lineno)
+    return out
+
+
+def test_no_unused_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    used: set[str] = set()
+    for tree in trees.values():
+        used.update(imported_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    unused = {
+        f"{name}:{line}": private
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree).items()
+        if private not in used
+    }
+    assert not unused, f"private names defined but never referenced: {unused}"

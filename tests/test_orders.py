@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from cycle_rees.classify import artinian_reduction_ideal
+from cycle_rees.rees import artinian_reduction_ideal
 from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
 from cycle_rees.rees import PathIdealSpec, graph_ideal
 from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_mul, parse_polynomial

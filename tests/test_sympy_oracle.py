@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycle_rees.classify import artinian_reduction_ideal
+from cycle_rees.rees import artinian_reduction_ideal
 from cycle_rees.groebner import Ideal, buchberger
 from cycle_rees.orders import elimination_order
 from cycle_rees.rees import PathIdealSpec, fiber_ideal, graph_ideal
