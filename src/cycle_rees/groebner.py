@@ -1,19 +1,24 @@
 """Buchberger engine: normal forms, reduced Groebner bases, ideal predicates.
 
-Inside the engine a monomial is one int, exponent i in bits [16i, 16i + 15)
-under a zero guard bit (Bachmann-Schoenemann): a product is a sum, a
-quotient a difference, an lcm or a divisibility test a few integer
+Inside the engine a monomial is one int, ``key << 16 * nvars | exponents``.
+The exponent part holds exponent i in bits [16i, 16i + 15) under a zero
+guard bit (Bachmann-Schoenemann); above it sits the order key of
+``OrderSpec.key_function``, whose fields are linear in the exponents.  So a
+product is a sum, a quotient a difference, and int order is the term order.
+An lcm or a divisibility test reads only the exponent part, in a few integer
 operations, and two leads are coprime exactly when their lcm is their sum.
 Terms are packed once on entry and unpacked for Polynomial on exit; an
 exponent of 2^15 or more, given or produced, raises RingError.  An integral
 coefficient is a plain int and any other one an exact Fraction.  Each basis
-element is held once, as a monic record (lead, tail terms); S-polynomials
-are built from the two tails, since the monic leads cancel.  Pair handling
-uses the Gebauer-Moeller update (which subsumes the coprime and chain
-criteria) with a deterministic selection: minimal lcm degree first, FIFO
-among equals; the Groebner-basis checker walks the same pairs.  Reduction
-is full tail reduction, so bases come out reduced and initial ideals are
-canonical.
+element is held once, as a monic record (exponent lead, tail terms, lead);
+S-polynomials are built from the two tails, since the monic leads cancel.
+Reduction scans the reducers for the first whose exponent lead divides a
+term, and a memo remembers that index per monomial for as long as the
+reducer list only grows.  Pair handling uses the Gebauer-Moeller update
+(which subsumes the coprime and chain criteria) with a deterministic
+selection: minimal lcm degree first, FIFO among equals; the Groebner-basis
+checker walks the same pairs.  Reduction is full tail reduction, so bases
+come out reduced and initial ideals are canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -27,6 +32,7 @@ import itertools
 import struct
 import time
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
@@ -65,8 +71,11 @@ _NO_BUDGET = Budget()
 # Packed monomial -> coefficient; coefficients are ints when integral and
 # Fractions otherwise.
 Terms = dict[int, int | Fraction]
-# One basis element: (packed lead monomial, monic tail terms).
-Reducer = tuple[int, Terms]
+# One basis element: (exponent part of its lead, monic tail terms, packed lead).
+Reducer = tuple[int, Terms, int]
+# Packed monomial -> the index of its first divisor in a reducer list, or ~k
+# when none of the first k reducers divides it.
+Memo = dict[int, int]
 
 
 def _exact(c: int | Fraction) -> int | Fraction:
@@ -78,8 +87,8 @@ _OVERFLOW = "exponent outside 0..32767, the range of a packed monomial"
 
 
 def _pack(exps: Exponents) -> int:
-    """The packed monomial; an exponent of 2^15 or more sets its field's guard
-    bit, which the engine rejects."""
+    """The exponent part of a packed monomial; an exponent of 2^15 or more
+    sets its field's guard bit, which the engine rejects."""
     try:
         return int.from_bytes(struct.pack(f"<{len(exps)}H", *exps), "little")
     except struct.error:  # an exponent below 0 or of 2^16 or more
@@ -87,6 +96,7 @@ def _pack(exps: Exponents) -> int:
 
 
 def _unpack(packed: int, nvars: int) -> Exponents:
+    """The exponents of an exponent part."""
     return struct.unpack(f"<{nvars}H", packed.to_bytes(2 * nvars, "little"))
 
 
@@ -99,36 +109,35 @@ class _Engine:
         self.nvars = nvars = ring.nvars
         # every field's guard bit, packed like an exponent of 2^15
         self.guard = guard = _pack((1 << 15,) * nvars)
-        raw_key = order.key_function(ring)
-        memo: dict[int, tuple] = {}
-
-        def key(m: int) -> tuple:
-            k = memo.get(m)
-            if k is None:
-                k = memo[m] = raw_key(_unpack(m, nvars))
-            return k
+        self.ones = _pack((1,) * nvars)  # the lowest bit of every field
+        shift = 16 * nvars
+        self.exponents = (1 << shift) - 1  # the exponent part's bits
+        key = order.key_function(ring)
 
         def pack(terms: Mapping[Exponents, int | Fraction]) -> Terms:
-            # the tuples are at hand here, so their keys seed the memo
             out: Terms = {}
             for e, c in terms.items():
                 m = _pack(e)
                 if m & guard:
                     raise RingError(_OVERFLOW)
-                if m not in memo:
-                    memo[m] = raw_key(e)
-                out[m] = _exact(c)
+                out[key(e) << shift | m] = _exact(c)
             return out
 
-        self.key = key
+        def lift(m: int) -> tuple[int, int]:
+            """The packed monomial and the degree of an exponent part."""
+            e = _unpack(m, nvars)
+            return key(e) << shift | m, sum(e)
+
         self.pack = pack
+        self.lift = lift
 
     def unpack(self, terms: Terms) -> dict[Exponents, int | Fraction]:
-        return {_unpack(m, self.nvars): c for m, c in terms.items()}
+        exponents, nvars = self.exponents, self.nvars
+        return {_unpack(m & exponents, nvars): c for m, c in terms.items()}
 
     def reducer(self, terms: Terms) -> Reducer:
         """The monic record of a nonzero packed polynomial."""
-        lead = max(terms, key=self.key)
+        lead = max(terms)
         lc = terms[lead]
         if lc == 1:
             tail = {m: c for m, c in terms.items() if m != lead}
@@ -137,51 +146,61 @@ class _Engine:
         else:
             lc = Fraction(lc)
             tail = {m: _exact(c / lc) for m, c in terms.items() if m != lead}
-        return lead, tail
+        return lead & self.exponents, tail, lead
 
-    def reduce_full(self, work: Terms, reducers: Sequence[Reducer]) -> Terms:
+    def reduce_full(self, work: Terms, reducers: Sequence[Reducer], memo: Memo | None = None) -> Terms:
         """Full normal form of work (consumed) against reducers, largest
         reducible term first.
 
         The first divisor in list order wins, so the result is deterministic.
         Fields of terms and quotients are below 2^15, so a product's overflow
         sets only its guard bit, which the check on each popped term catches.
+        ``memo`` remembers each popped monomial's first divisor; it is exact
+        only while reducers grows by appends alone.
         """
+        if memo is None:
+            memo = {}
         out: Terms = {}
-        key = self.key
         tick = self.budget.tick
         guard = self.guard
+        exponents = self.exponents
         while work:
             tick()
-            m = max(work, key=key)
+            m = max(work)
             c = work.pop(m)
             if m & guard:
                 raise RingError(_OVERFLOW)
-            mg = m | guard
-            for lead, tail in reducers:
-                if (mg - lead) & guard == guard:
-                    q = m - lead
-                    for tm, tc in tail.items():
-                        mm = tm + q
-                        nc = work.get(mm, 0) - c * tc
-                        if nc:
-                            work[mm] = nc
-                        else:
-                            work.pop(mm, None)
-                    break
-            else:
-                out[m] = _exact(c)
+            k = memo.get(m, -1)
+            if k < 0:
+                start = ~k
+                # the exponent part with every guard bit set; a divisor's
+                # exponents leave every guard bit of the difference in place
+                mg = (m | guard) & exponents
+                for k, rec in enumerate(itertools.islice(reducers, start, None), start):
+                    if (mg - rec[0]) & guard == guard:
+                        break
+                else:
+                    memo[m] = ~len(reducers)
+                    out[m] = _exact(c)
+                    continue
+                memo[m] = k
+            _, tail, lead = reducers[k]
+            q = m - lead
+            for tm, tc in tail.items():
+                mm = tm + q
+                nc = work.get(mm, 0) - c * tc
+                if nc:
+                    work[mm] = nc
+                else:
+                    work.pop(mm, None)
         return out
-
-    def degree(self, m: int) -> int:
-        return sum(_unpack(m, self.nvars))
 
 
 def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
-    """S-polynomial of two monic records whose leads have lcm ``lcm``: the
-    leads cancel, the tails remain."""
-    lead_f, tail_f = f
-    lead_g, tail_g = g
+    """S-polynomial of two monic records whose leads have the packed lcm
+    ``lcm``: the leads cancel, the tails remain."""
+    _, tail_f, lead_f = f
+    _, tail_g, lead_g = g
     qf = lcm - lead_f
     qg = lcm - lead_g
     out = {m + qf: c for m, c in tail_f.items()}
@@ -195,12 +214,13 @@ def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
     return out
 
 
-# (basis, ring, order, records) of the last basis reduced against.  Membership
-# loops take all their normal forms against one cached basis tuple before they
-# move on, so one slot suffices.  It is keyed on the tuple's identity, which
-# the slot's own reference keeps from being reused; records depend only on the
-# basis, ring and order, and reduce_full only reads them.
-_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...]] | None = None
+# (basis, ring, order, records, memo) of the last basis reduced against.
+# Membership loops take all their normal forms against one cached basis tuple
+# before they move on, so one slot suffices.  It is keyed on the tuple's
+# identity, which the slot's own reference keeps from being reused; records
+# depend only on the basis, ring and order, and reduce_full only reads them,
+# so the first-divisor memo stays exact for as long as the slot.
+_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], Memo] | None = None
 
 
 def normal_form(
@@ -223,10 +243,9 @@ def _normal_forms(
     """The normal form of each term dict f of ring against one basis, as
     term dicts, yielded as fs is read.
 
-    One engine and one record list serve every f, so the key memo is built
-    once however many polynomials are reduced.  The records themselves are
-    kept in ``_last_records`` and reused by the next call that passes the
-    same basis tuple under an equal ring and order.
+    One engine, one record list and one first-divisor memo serve every f.
+    The records and the memo are kept in ``_last_records`` and reused by the
+    next call that passes the same basis tuple under an equal ring and order.
     """
     global _last_records
     order = order or canonical_order(ring)
@@ -234,7 +253,7 @@ def _normal_forms(
     basis = tuple(basis)  # a tuple is itself; a list is copied, so never a hit
     last = _last_records
     if last is not None and last[0] is basis and last[1] == ring and last[2] == order:
-        reducers = last[3]
+        reducers, memo = last[3], last[4]
     else:
         for g in basis:
             if g.ring != ring:
@@ -242,34 +261,40 @@ def _normal_forms(
             if g.is_zero():
                 raise RingError("zero polynomial in reduction basis")
         reducers = tuple(engine.reducer(engine.pack(g.terms)) for g in basis)
-        _last_records = basis, ring, order, reducers
+        memo = {}
+        _last_records = basis, ring, order, reducers, memo
     for f in fs:
-        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers))
+        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, memo))
 
 
 class _Pairs:
     """A basis of records and its S-pairs under the Gebauer-Moeller update.
 
-    ``alive`` maps each live pair (i, j), i < j, to the lcm of its leads; the
-    heap may still hold pairs the update has since dropped from it.
+    ``alive`` maps each live pair (i, j), i < j, to the exponent part of the
+    lcm of its leads; the heap may still hold pairs the update has since
+    dropped from it.  The basis only grows by appends, so one first-divisor
+    memo serves every reduction against it.
     """
 
-    __slots__ = ("engine", "basis", "alive", "heap", "counter")
+    __slots__ = ("engine", "basis", "alive", "heap", "counter", "memo")
 
     def __init__(self, engine: _Engine):
         self.engine = engine
         self.basis: list[Reducer] = []
         self.alive: dict[tuple[int, int], int] = {}
-        self.heap: list[tuple[int, int, int, int]] = []
+        # (degree of the lcm, FIFO counter, i, j, packed lcm)
+        self.heap: list[tuple[int, int, int, int, int]] = []
         self.counter = itertools.count()
+        self.memo: Memo = {}
 
     def insert(self, new: Reducer) -> None:
         """Add a record to the basis, updating pairs per Gebauer-Moeller.
 
-        The newcomer's lcms are computed once, and the chain criterion and
-        the S-polynomial read each pair's lcm from ``alive``.  This scans the
-        basis and every live pair, so the packed lcm and divisibility tests
-        are inlined.
+        The newcomer's lcms are computed once: the chain criterion reads each
+        pair's exponent lcm from ``alive``, and the S-polynomial its packed
+        lcm from the heap entry, which is built once per queued pair.  This
+        scans the basis and every live pair, so the packed lcm and
+        divisibility tests are inlined.
         """
         engine, basis, alive, heap, counter = self.engine, self.basis, self.alive, self.heap, self.counter
         t = len(basis)
@@ -280,7 +305,7 @@ class _Pairs:
         # tests/oracles.py)
         new_lcms = [
             lf + (diff & (kept - (kept >> 15)))
-            for lead, _ in basis
+            for lead, _, _ in basis
             for diff in ((lead | guard) - lf,)
             for kept in (diff & guard,)
         ]
@@ -295,20 +320,27 @@ class _Pairs:
         for ij in dominated:
             del alive[ij]
 
-        # group candidate pairs by lcm, keep only divisibility-minimal lcms; a
-        # divisor packs to a smaller int, so int order meets divisors first
+        # group candidate pairs by lcm, keep only divisibility-minimal lcms
         lcm_groups: dict[int, list[int]] = {}
         for i, lcm in enumerate(new_lcms):
             lcm_groups.setdefault(lcm, []).append(i)
+        # an lcm lf * x_v divides every other lcm whose quotient by lf holds
+        # x_v, so only the quotients free of all such x_v, and those of
+        # degree at most one, can be minimal
+        ones = engine.ones
+        units = [lcm for lcm in lcm_groups for q in (lcm - lf,) if q & (q - 1) == 0 and q & ones]
+        taken = 0  # the value bits of every field some unit quotient holds
+        for lcm in units:
+            taken |= (lcm - lf) * 0x7FFF
+        # a divisor packs to a smaller int, so int order meets divisors first
         minimal: list[int] = []
-        for lcm in sorted(lcm_groups):
+        for lcm in sorted([lcm for lcm in lcm_groups if not (lcm - lf) & taken] + units):
             lg = lcm | guard
             for prev in minimal:
                 if (lg - prev) & guard == guard:
                     break
             else:
                 minimal.append(lcm)
-        key = engine.key
         pushed = []
         for lcm in minimal:
             group = lcm_groups[lcm]
@@ -318,12 +350,12 @@ class _Pairs:
                 if basis[i][0] + lf == lcm:
                     break
             else:
-                pushed.append((key(lcm), lcm, group[0]))  # groups ascend
+                pushed.append((*engine.lift(lcm), group[0], lcm))  # groups ascend
         # FIFO ties among equal degrees follow the term order of the lcms
         pushed.sort()
-        for _, lcm, i in pushed:
+        for packed, degree, i, lcm in pushed:
             alive[i, t] = lcm
-            heapq.heappush(heap, (engine.degree(lcm), next(counter), i, t))
+            heapq.heappush(heap, (degree, next(counter), i, t, packed))
 
         basis.append(new)
 
@@ -331,18 +363,17 @@ class _Pairs:
         """Pop the live pairs in order and yield (i, j, remainder) for each
         S-polynomial whose normal form is nonzero; the caller may insert
         before resuming."""
-        engine, basis, alive, heap = self.engine, self.basis, self.alive, self.heap
+        engine, basis, alive, heap, memo = self.engine, self.basis, self.alive, self.heap, self.memo
         tick = engine.budget.tick
         while heap:
-            _, _, i, j = heapq.heappop(heap)
-            lcm = alive.pop((i, j), None)
-            if lcm is None:
+            _, _, i, j, lcm = heapq.heappop(heap)
+            if alive.pop((i, j), None) is None:
                 continue
             tick()
             s = _s_poly(basis[i], basis[j], lcm)
             if not s:
                 continue
-            r = engine.reduce_full(s, basis)
+            r = engine.reduce_full(s, basis, memo)
             if r:
                 yield i, j, r
 
@@ -391,19 +422,18 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
     against the ones before it, keeps its lead with coefficient 1, and the
     output ascends without a final sort.
     """
-    key = engine.key
     guard = engine.guard
     minimal: list[Reducer] = []
-    for rec in sorted(basis, key=lambda rec: key(rec[0])):
+    for rec in sorted(basis, key=itemgetter(2)):
         lg = rec[0] | guard
-        for prev, _ in minimal:
+        for prev, _, _ in minimal:
             if (lg - prev) & guard == guard:  # packed_divides(prev, rec[0]) in tests/oracles.py
                 break
         else:
             minimal.append(rec)
     return tuple(
         Polynomial(engine.ring, engine.unpack(engine.reduce_full({lead: 1, **tail}, minimal[:pos])))
-        for pos, (lead, tail) in enumerate(minimal)
+        for pos, (_, tail, lead) in enumerate(minimal)
     )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 from typing import Callable, Iterable
 
 from .groebner import Budget, Ideal
@@ -29,9 +30,14 @@ from .orders import OrderSpec, canonical_order
 from .rings import Exponents, Polynomial, RingError, RingSpec, mono_divides
 
 
+def _canonical(e: Exponents) -> tuple[int, Exponents]:
+    """The sort key of minimal generators: degree, then exponents."""
+    return sum(e), e
+
+
 def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
     """Drop generators divisible by another; deterministic output order."""
-    unique = sorted(set(gens), key=lambda e: (sum(e), e))
+    unique = sorted(set(gens), key=_canonical)
     minimal: list[Exponents] = []
     for m in unique:
         if all(not mono_divides(g, m) for g in minimal):
@@ -86,9 +92,27 @@ def x_condition(ideal: MonomialIdeal) -> bool:
 
 
 def colon_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
-    """M : p, computed generator-wise as m / gcd(m, p)."""
+    """M : p, computed generator-wise as m / gcd(m, p).
+
+    Only the generators that share a variable with p are lowered.  No other
+    generator divides a lowered one, as it would divide its original too, so
+    of the others only those that a lowered one divides are dropped.  When p
+    is one variable, m/p | m'/p means m | m', so the lowered generators stay
+    minimal among themselves.
+    """
     p = _checked(ideal.ring, p)
-    return MonomialIdeal(ideal.ring, _minimalize([tuple(max(e - q, 0) for e, q in zip(g, p)) for g in ideal.gens]))
+    lowered: list[Exponents] = []
+    others: list[Exponents] = []
+    for g in ideal.gens:
+        common = tuple(map(min, g, p))  # gcd(g, p)
+        if any(common):
+            lowered.append(tuple(map(sub, g, common)))
+        else:
+            others.append(g)
+    if sum(p) > 1:
+        lowered = list(_minimalize(lowered))
+    kept = [g for g in others if not any(mono_divides(m, g) for m in lowered)]
+    return MonomialIdeal(ideal.ring, tuple(sorted(lowered + kept, key=_canonical)))
 
 
 def sum_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:

@@ -16,6 +16,7 @@ The two orders that matter here:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -26,7 +27,7 @@ from .rings import Exponents, RingError, RingSpec
 BASE_ORDERS = ("lex", "grevlex")
 
 Stage = tuple[tuple[str, ...], str]
-KeyFunction = Callable[[Exponents], tuple]
+KeyFunction = Callable[[Exponents], int]
 
 
 @dataclass(frozen=True)
@@ -50,40 +51,48 @@ class OrderSpec:
             )
 
     def key_function(self, ring: RingSpec) -> KeyFunction:
-        """Compile to a key: tuple comparison of keys realizes the order.
+        """Compile to a key: int comparison of keys realizes the order.
 
-        Each stage reads its exponents with an ``itemgetter`` (a slice when the
-        indices are contiguous).  A lex stage compares them as read.  A grevlex
-        stage compares its reversed prefix sums (S_k, S_{k-1}, ..., S_1): the
-        degree first, then, at equal degree, a larger S_{k-1} means a smaller
-        last exponent.  A stage over one variable is just that exponent.
+        The key packs one unsigned 32-bit field per variable, most significant
+        first, stage by stage.  A lex stage gives its exponents as read (an
+        ``itemgetter`` slice when the indices are contiguous).  A grevlex stage
+        gives its reversed prefix sums (S_k, S_{k-1}, ..., S_1): the degree
+        first, then, at equal degree, a larger S_{k-1} means a smaller last
+        exponent.  Every field is a nonnegative linear form of the exponents,
+        so the key of a product is the sum of the keys.  A field outside
+        0..2^32 - 1 raises RingError.
         """
         self.validate(ring)
-        parts: list[KeyFunction] = []
+        parts: list[Callable[[Exponents], tuple[int, ...]]] = []
         for blocks, base in self.stages:
             idxs = [i for b in blocks for i in ring.block_indices(b)]
             if not idxs:
                 continue  # a block without variables compares nothing
-            if len(idxs) == 1:
-                parts.append(itemgetter(idxs[0]))
-                continue
             if idxs == list(range(idxs[0], idxs[0] + len(idxs))):
                 read = itemgetter(slice(idxs[0], idxs[0] + len(idxs)))
             else:
                 read = itemgetter(*idxs)
-            if base == "lex":
+            if base == "lex" or len(idxs) == 1:
                 parts.append(read)
             else:
                 parts.append(lambda exps, read=read: tuple(accumulate(read(exps)))[::-1])
         if len(parts) == 1:
-            return parts[0]
-        if len(parts) == 2:
+            (fields,) = parts
+        elif len(parts) == 2:
             first, second = parts
-            return lambda exps: (first(exps), second(exps))
-        if len(parts) == 3:
-            first, second, third = parts
-            return lambda exps: (first(exps), second(exps), third(exps))
-        return lambda exps: tuple([part(exps) for part in parts])
+            fields = lambda exps: (*first(exps), *second(exps))
+        else:
+            fields = lambda exps: [f for part in parts for f in part(exps)]
+        pack = struct.Struct(f">{ring.nvars}I").pack
+        from_bytes = int.from_bytes
+
+        def key(exps: Exponents) -> int:
+            try:
+                return from_bytes(pack(*fields(exps)), "big")
+            except struct.error:  # a field below 0 or of 2^32 or more
+                raise RingError(f"order key field outside 0..{2**32 - 1}") from None
+
+        return key
 
     def describe(self) -> list[dict[str, object]]:
         """JSON-friendly description, for certificates."""

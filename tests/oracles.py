@@ -14,7 +14,7 @@ from cycle_rees.groebner import normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
 from cycle_rees.orders import KeyFunction, OrderSpec, leading_term
 from cycle_rees.rees import PathIdealSpec, PolyMatrix
-from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_mul
+from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_divides, mono_mul
 
 
 # -- monomials as exponent tuples: the references for the packed kernels --
@@ -43,6 +43,42 @@ def packed_lcm(a: int, b: int, guard: int) -> int:
 def packed_divides(a: int, b: int, guard: int) -> bool:
     """Whether a divides b: every field keeps its guard in (b | guard) - a."""
     return ((b | guard) - a) & guard == guard
+
+
+# -- the pair update: Gebauer-Moeller with every candidate lcm compared --
+
+
+def gebauer_moeller_queue(
+    leads: list[Exponents], key: KeyFunction
+) -> tuple[dict[tuple[int, int], Exponents], list[tuple[int, int, int]]]:
+    """The live pairs with their lcms, and the queue as (degree, i, j) in pop
+    order, after inserting leads one by one under the order key.
+
+    A newcomer f drops each old pair whose lcm lead(f) divides, unless that
+    lcm is the lcm of f with one of the pair.  Of its own pairs it keeps one
+    per lcm that no other of its lcms divides, the first such pair, and none
+    for an lcm that a pair with coprime leads attains.  They are queued by
+    lcm degree, first in first out, and in term order of the lcms within one
+    insertion.
+    """
+    alive: dict[tuple[int, int], Exponents] = {}
+    queue: list[tuple[int, int, int]] = []
+    for t, lf in enumerate(leads):
+        new = [mono_lcm(lead, lf) for lead in leads[:t]]
+        for (i, j), lcm in list(alive.items()):
+            if mono_divides(lf, lcm) and lcm != new[i] and lcm != new[j]:
+                del alive[i, j]
+        pushed = []
+        for lcm in set(new):
+            if any(other != lcm and mono_divides(other, lcm) for other in new):
+                continue
+            group = [i for i, other in enumerate(new) if other == lcm]
+            if not any(mono_mul(leads[i], lf) == lcm for i in group):
+                pushed.append((key(lcm), lcm, group[0]))
+        for _, lcm, i in sorted(pushed):
+            alive[i, t] = lcm
+            queue.append((sum(lcm), i, t))
+    return alive, sorted(queue, key=lambda entry: entry[0])  # a stable sort keeps FIFO
 
 
 # -- Groebner bases by Buchberger's criterion on every pair --

@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cycle_rees import groebner
 from cycle_rees.groebner import (
@@ -34,7 +34,14 @@ from cycle_rees.rings import (
     parse_polynomial,
 )
 
-from oracles import is_groebner_basis_all_pairs, mono_lcm, packed_divides, packed_lcm
+from oracles import (
+    gebauer_moeller_queue,
+    is_groebner_basis_all_pairs,
+    mono_lcm,
+    packed_divides,
+    packed_lcm,
+    reference_key,
+)
 
 
 def fam_polys(n: int, which: str = "n2") -> list[Polynomial]:
@@ -160,6 +167,66 @@ def test_reused_basis_records_keep_the_input_checks():
     assert normal_form(f, basis) == parse_polynomial(ab, "a^2 + 1")
 
 
+def memo_free_normal_form(f: Polynomial, basis, order: OrderSpec) -> Polynomial:
+    """f reduced against fresh records of basis, with a fresh memo."""
+    engine = groebner._Engine(f.ring, order, Budget())
+    reducers = [engine.reducer(engine.pack(g.terms)) for g in basis]
+    return Polynomial(f.ring, engine.unpack(engine.reduce_full(engine.pack(f.terms), reducers)))
+
+
+def test_first_divisor_memo_matches_memo_free_normal_forms():
+    order = OrderSpec(((("X",), "grevlex"),))
+    rng = random.Random(17)
+    for _ in range(40):
+        first, second = (
+            buchberger([g for g in (random_poly(rng) for _ in range(3)) if not g.is_zero()] or [random_poly(rng)], order)
+            for _ in range(2)
+        )
+        fs = [random_poly(rng, max_terms=5, max_exp=4) for _ in range(4)]
+        expected = {id(basis): [memo_free_normal_form(f, basis, order) for f in fs] for basis in (first, second)}
+        # repeated calls against one cached basis tuple share one memo
+        for _ in range(2):
+            got = groebner._normal_forms(SMALL_RING, [f.terms for f in fs], first, order)
+            assert [Polynomial(SMALL_RING, r) for r in got] == expected[id(first)]
+        memo = groebner._last_records[4]
+        assert normal_form(fs[0], first, order) == expected[id(first)][0]
+        assert groebner._last_records[4] is memo
+        # a list basis never hits; a second basis interleaves with the first
+        for k, f in enumerate(fs):
+            assert normal_form(f, list(first), order) == expected[id(first)][k]
+            assert normal_form(f, second, order) == expected[id(second)][k]
+            assert normal_form(f, first, order) == expected[id(first)][k]
+
+
+class NoMemo(dict):
+    """A first-divisor memo that remembers nothing."""
+
+    def __setitem__(self, m, k):
+        pass
+
+
+def test_first_divisor_memo_changes_no_basis_and_no_step(monkeypatch):
+    rng = random.Random(19)
+    order = OrderSpec(((("X",), "grevlex"),))
+    cases = [([random_poly(rng, max_terms=4, max_exp=3) for _ in range(3)], order) for _ in range(20)]
+    G = graph_ideal(PathIdealSpec(6, 4))
+    cases.append((list(G.generators), elimination_order(G.ring, ("S",))))
+    init = groebner._Pairs.__init__
+
+    def memo_free_init(self, engine):
+        init(self, engine)
+        self.memo = NoMemo()
+
+    for gens, order in cases:
+        budget = Budget()
+        gb = buchberger(gens, order, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner._Pairs, "__init__", memo_free_init)
+            memo_free_budget = Budget()
+            assert buchberger(gens, order, memo_free_budget) == gb
+        assert budget.steps == memo_free_budget.steps
+
+
 def test_second_membership_packs_no_basis_element(rees_cache, monkeypatch):
     J = rees_cache(6, 4)
     order = product_order(J.ring)
@@ -236,12 +303,13 @@ def test_budget_exceeded_is_distinct():
 
 def test_time_budget_is_honoured_by_a_long_elimination():
     # (10, 9) builds an intermediate basis of several hundred elements, so a
-    # 0.3 s budget runs out inside the pair update and interreduction loops,
-    # which do not tick themselves; the overshoot must stay small
+    # budget of a small fraction of its run time runs out inside the pair
+    # update and interreduction loops, which do not tick themselves; the
+    # overshoot must stay small
     start = time.monotonic()
     with pytest.raises(BudgetExceeded):
-        rees_ideal(PathIdealSpec(10, 9), Budget(seconds=0.3))
-    assert time.monotonic() - start < 0.3 + 1.0
+        rees_ideal(PathIdealSpec(10, 9), Budget(seconds=0.05))
+    assert time.monotonic() - start < 0.05 + 1.0
 
 
 def test_time_budget_is_checked_while_generators_are_inserted():
@@ -408,11 +476,29 @@ def test_packed_kernels_match_tuple_kernels(a, b, c):
     assert pa <= _pack(mono_lcm(a, b))
     # the pair update stores each live pair with the lcm of its two leads
     ring = RingSpec((("X", tuple("abcde")),))
-    pairs = groebner._Pairs(groebner._Engine(ring, OrderSpec(((("X",), "grevlex"),)), Budget()))
+    engine = groebner._Engine(ring, OrderSpec(((("X",), "grevlex"),)), Budget())
+    pairs = groebner._Pairs(engine)
     leads = [a, b, c]
     for lead in leads:
-        pairs.insert((_pack(lead), {}))
+        pairs.insert(engine.reducer(engine.pack({lead: 1})))
     assert all(lcm == _pack(mono_lcm(leads[i], leads[j])) for (i, j), lcm in pairs.alive.items())
+
+
+# exponents up to 7, so that a quotient of two lcms can be x_v^2 or x_v^4
+@given(st.lists(st.tuples(*([st.integers(min_value=0, max_value=7)] * 4)), max_size=10), st.sampled_from(["lex", "grevlex"]))
+# lf = d: the quotients a^4 and b*c; a^4 is no single variable
+@example([(4, 0, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1)], "grevlex")
+def test_pair_update_matches_reference(leads, base):
+    ring = RingSpec((("X", tuple("abcd")),))
+    order = OrderSpec(((("X",), base),))
+    engine = groebner._Engine(ring, order, Budget())
+    pairs = groebner._Pairs(engine)
+    for lead in leads:
+        pairs.insert(engine.reducer(engine.pack({lead: 1})))
+    alive, queue = gebauer_moeller_queue(leads, reference_key(order, ring))
+    assert {ij: _unpack(lcm, 4) for ij, lcm in pairs.alive.items()} == alive
+    popped = [(degree, i, j, _unpack(lcm & engine.exponents, 4)) for degree, _, i, j, lcm in sorted(pairs.heap)]
+    assert popped == [(degree, i, j, mono_lcm(leads[i], leads[j])) for degree, i, j in queue]
 
 
 def test_packed_lead_exponent_limit():

@@ -112,8 +112,12 @@ def test_colon_sum_laws():
         if not gens:
             continue
         M = MonomialIdeal.from_exponents(ring, gens)
-        p = tuple(rng.randint(0, 2) for _ in range(4))
+        # one variable, as the Hilbert recursion divides by, or any monomial
+        v = rng.randrange(4)
+        p = tuple(int(i == v) for i in range(4)) if rng.random() < 0.5 else tuple(rng.randint(0, 2) for _ in range(4))
         colon = colon_mono(M, p)
+        # the definition, re-minimalised in full
+        assert colon == MonomialIdeal.from_exponents(ring, [tuple(max(e - q, 0) for e, q in zip(g, p)) for g in M.gens])
         for q in colon.gens:
             assert M.contains(tuple(a + b for a, b in zip(q, p)))
         S = sum_mono(M, p)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from cycle_rees.rees import artinian_reduction_ideal
+from cycle_rees.groebner import Budget, _Engine
 from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
-from cycle_rees.rees import PathIdealSpec, graph_ideal
-from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_mul, parse_polynomial
+from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, graph_ideal
+from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_divides, mono_mul, parse_polynomial
 
-from oracles import compare, reference_key
+from oracles import compare, mono_lcm, packed_divides, reference_key
 
 R5 = cycle_ring(5)
 R4 = cycle_ring(4)
@@ -147,3 +147,34 @@ def test_compiled_key_matches_reference(ring, order, data):
     b = data.draw(st.one_of(exps, st.permutations(a).map(tuple)))
     key, ref = order.key_function(ring), reference_key(order, ring)
     assert (key(a) > key(b)) - (key(a) < key(b)) == (ref(a) > ref(b)) - (ref(a) < ref(b))
+    # every field is linear in the exponents, so the engine can add keys
+    assert key(a) + key(b) == key(mono_mul(a, b))
+
+
+@pytest.mark.parametrize("ring,order", COMPILED_CASES)
+@given(data=st.data())
+def test_packed_monomials_sort_in_term_order(ring, order, data):
+    field = st.one_of(st.sampled_from([0, 1, 2**15 - 1]), st.integers(min_value=0, max_value=2**15 - 1))
+    exps = st.tuples(*([field] * ring.nvars))
+    a = data.draw(exps)
+    # a permutation ties the degree; an lcm with a is a multiple of a
+    b = data.draw(st.one_of(exps, st.permutations(a).map(tuple), exps.map(lambda c: mono_lcm(a, c))))
+    engine = _Engine(ring, order, Budget())
+    (pa,), (pb,) = engine.pack({a: 1}), engine.pack({b: 1})
+    ref = reference_key(order, ring)
+    assert (pa > pb) - (pa < pb) == (ref(a) > ref(b)) - (ref(a) < ref(b))
+    low = engine.exponents
+    assert packed_divides(pa & low, pb & low, engine.guard) == mono_divides(a, b)
+
+
+def test_key_fields_are_unsigned_32_bit():
+    ring = RingSpec((("X", ("a", "b")),))
+    lex, grevlex = (OrderSpec(((("X",), base),)).key_function(ring) for base in ("lex", "grevlex"))
+    assert lex((2**32 - 1, 0)) > lex((0, 2**32 - 1))
+    for exps in ((2**32, 0), (0, -1)):
+        with pytest.raises(RingError, match="order key"):
+            lex(exps)
+    # a grevlex stage's first field is its degree
+    assert grevlex((2**31, 2**31 - 1)) > grevlex((2**31 - 1, 2**31 - 1))
+    with pytest.raises(RingError, match="order key"):
+        grevlex((2**31, 2**31))
