@@ -148,11 +148,15 @@ class _Engine:
             tail = {m: _exact(c / lc) for m, c in terms.items() if m != lead}
         return lead & self.exponents, tail, lead
 
-    def reduce_full(self, work: Terms, reducers: Sequence[Reducer], memo: Memo | None = None) -> Terms:
+    def reduce_full(
+        self, work: Terms, reducers: Sequence[Reducer], leads: Sequence[int], memo: Memo | None = None
+    ) -> Terms:
         """Full normal form of work (consumed) against reducers, largest
         reducible term first.
 
         The first divisor in list order wins, so the result is deterministic.
+        ``leads`` holds the exponent lead of each reducer, in the same order;
+        the scan reads it, as a list of ints iterates faster than the records.
         Fields of terms and quotients are below 2^15, so a product's overflow
         sets only its guard bit, which the check on each popped term catches.
         ``memo`` remembers each popped monomial's first divisor; it is exact
@@ -176,8 +180,9 @@ class _Engine:
                 # the exponent part with every guard bit set; a divisor's
                 # exponents leave every guard bit of the difference in place
                 mg = (m | guard) & exponents
-                for k, rec in enumerate(itertools.islice(reducers, start, None), start):
-                    if (mg - rec[0]) & guard == guard:
+                for elead in itertools.islice(leads, start, None) if start else leads:
+                    if (mg - elead) & guard == guard:
+                        k = leads.index(elead, start)
                         break
                 else:
                     memo[m] = ~len(reducers)
@@ -214,13 +219,14 @@ def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
     return out
 
 
-# (basis, ring, order, records, memo) of the last basis reduced against.
+# (basis, ring, order, records, exponent leads, memo) of the last basis
+# reduced against.
 # Membership loops take all their normal forms against one cached basis tuple
 # before they move on, so one slot suffices.  It is keyed on the tuple's
 # identity, which the slot's own reference keeps from being reused; records
 # depend only on the basis, ring and order, and reduce_full only reads them,
 # so the first-divisor memo stays exact for as long as the slot.
-_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], Memo] | None = None
+_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], tuple[int, ...], Memo] | None = None
 
 
 def normal_form(
@@ -253,7 +259,7 @@ def _normal_forms(
     basis = tuple(basis)  # a tuple is itself; a list is copied, so never a hit
     last = _last_records
     if last is not None and last[0] is basis and last[1] == ring and last[2] == order:
-        reducers, memo = last[3], last[4]
+        reducers, leads, memo = last[3:]
     else:
         for g in basis:
             if g.ring != ring:
@@ -261,26 +267,29 @@ def _normal_forms(
             if g.is_zero():
                 raise RingError("zero polynomial in reduction basis")
         reducers = tuple(engine.reducer(engine.pack(g.terms)) for g in basis)
+        leads = tuple(rec[0] for rec in reducers)
         memo = {}
-        _last_records = basis, ring, order, reducers, memo
+        _last_records = basis, ring, order, reducers, leads, memo
     for f in fs:
-        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, memo))
+        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
 
 
 class _Pairs:
     """A basis of records and its S-pairs under the Gebauer-Moeller update.
 
-    ``alive`` maps each live pair (i, j), i < j, to the exponent part of the
-    lcm of its leads; the heap may still hold pairs the update has since
-    dropped from it.  The basis only grows by appends, so one first-divisor
-    memo serves every reduction against it.
+    ``leads`` holds the exponent lead of each basis record.  ``alive`` maps
+    each live pair (i, j), i < j, to the exponent part of the lcm of its
+    leads; the heap may still hold pairs the update has since dropped from
+    it.  The basis only grows by appends, so one first-divisor memo serves
+    every reduction against it.
     """
 
-    __slots__ = ("engine", "basis", "alive", "heap", "counter", "memo")
+    __slots__ = ("engine", "basis", "leads", "alive", "heap", "counter", "memo")
 
     def __init__(self, engine: _Engine):
         self.engine = engine
         self.basis: list[Reducer] = []
+        self.leads: list[int] = []
         self.alive: dict[tuple[int, int], int] = {}
         # (degree of the lcm, FIFO counter, i, j, packed lcm)
         self.heap: list[tuple[int, int, int, int, int]] = []
@@ -296,8 +305,8 @@ class _Pairs:
         scans the basis and every live pair, so the packed lcm and
         divisibility tests are inlined.
         """
-        engine, basis, alive, heap, counter = self.engine, self.basis, self.alive, self.heap, self.counter
-        t = len(basis)
+        engine, leads, alive, heap, counter = self.engine, self.leads, self.alive, self.heap, self.counter
+        t = len(leads)
         lf = new[0]
         guard = engine.guard
         # lcm(lead, lf) is lf plus lead's excess over lf, the fields of
@@ -305,7 +314,7 @@ class _Pairs:
         # tests/oracles.py)
         new_lcms = [
             lf + (diff & (kept - (kept >> 15)))
-            for lead, _, _ in basis
+            for lead in leads
             for diff in ((lead | guard) - lf,)
             for kept in (diff & guard,)
         ]
@@ -347,7 +356,7 @@ class _Pairs:
             # coprime criterion: if any pair in the group has coprime leads,
             # all pairs with this lcm are redundant
             for i in group:
-                if basis[i][0] + lf == lcm:
+                if leads[i] + lf == lcm:
                     break
             else:
                 pushed.append((*engine.lift(lcm), group[0], lcm))  # groups ascend
@@ -357,13 +366,14 @@ class _Pairs:
             alive[i, t] = lcm
             heapq.heappush(heap, (degree, next(counter), i, t, packed))
 
-        basis.append(new)
+        self.basis.append(new)
+        leads.append(lf)
 
     def remainders(self) -> Iterator[tuple[int, int, Terms]]:
         """Pop the live pairs in order and yield (i, j, remainder) for each
         S-polynomial whose normal form is nonzero; the caller may insert
         before resuming."""
-        engine, basis, alive, heap, memo = self.engine, self.basis, self.alive, self.heap, self.memo
+        engine, basis, leads, alive, heap, memo = self.engine, self.basis, self.leads, self.alive, self.heap, self.memo
         tick = engine.budget.tick
         while heap:
             _, _, i, j, lcm = heapq.heappop(heap)
@@ -373,7 +383,7 @@ class _Pairs:
             s = _s_poly(basis[i], basis[j], lcm)
             if not s:
                 continue
-            r = engine.reduce_full(s, basis, memo)
+            r = engine.reduce_full(s, basis, leads, memo)
             if r:
                 yield i, j, r
 
@@ -420,7 +430,9 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
     The minimal records are taken in ascending lead order.  A later lead is
     larger, so it divides no term of an earlier element; each element reduces
     against the ones before it, keeps its lead with coefficient 1, and the
-    output ascends without a final sort.
+    output ascends without a final sort.  No earlier lead divides the lead
+    itself either, as the leads are minimal, so only the tail is reduced; the
+    lead still counts its step.
     """
     guard = engine.guard
     minimal: list[Reducer] = []
@@ -431,10 +443,13 @@ def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ..
                 break
         else:
             minimal.append(rec)
-    return tuple(
-        Polynomial(engine.ring, engine.unpack(engine.reduce_full({lead: 1, **tail}, minimal[:pos])))
-        for pos, (_, tail, lead) in enumerate(minimal)
-    )
+    leads = [rec[0] for rec in minimal]
+    reduced = []
+    for pos, (_, tail, lead) in enumerate(minimal):
+        engine.budget.tick()  # the lead's step
+        terms = engine.reduce_full(dict(tail), minimal[:pos], leads[:pos])
+        reduced.append(Polynomial(engine.ring, engine.unpack({lead: 1, **terms})))
+    return tuple(reduced)
 
 
 def is_groebner_basis(

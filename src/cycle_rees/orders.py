@@ -81,6 +81,9 @@ class OrderSpec:
         elif len(parts) == 2:
             first, second = parts
             fields = lambda exps: (*first(exps), *second(exps))
+        elif len(parts) == 3:
+            first, second, third = parts
+            fields = lambda exps: (*first(exps), *second(exps), *third(exps))
         else:
             fields = lambda exps: [f for part in parts for f in part(exps)]
         pack = struct.Struct(f">{ring.nvars}I").pack
