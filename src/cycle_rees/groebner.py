@@ -8,17 +8,17 @@ product is a sum, a quotient a difference, and int order is the term order.
 An lcm or a divisibility test reads only the exponent part, in a few integer
 operations, and two leads are coprime exactly when their lcm is their sum.
 Terms are packed once on entry and unpacked for Polynomial on exit; an
-exponent of 2^15 or more, given or produced, raises RingError.  An integral
-coefficient is a plain int and any other one an exact Fraction.  Each basis
-element is held once, as a monic record (exponent lead, tail terms, lead);
-S-polynomials are built from the two tails, since the monic leads cancel.
-Reduction scans the reducers for the first whose exponent lead divides a
-term, and a memo remembers that index per monomial for as long as the
-reducer list only grows.  Pair handling uses the Gebauer-Moeller update
-(which subsumes the coprime and chain criteria) with a deterministic
-selection: minimal lcm degree first, FIFO among equals; the Groebner-basis
-checker walks the same pairs.  Reduction is full tail reduction, so bases
-come out reduced and initial ideals are canonical.
+exponent of 2^15 or more, given or produced, raises RingError.  The engine
+converts no coefficient; Polynomial gives each its one exact form.  Each
+basis element is held once, as a monic record (exponent lead, tail terms,
+lead); S-polynomials are built from the two tails, since the monic leads
+cancel.  Reduction scans the reducers for the first whose exponent lead
+divides a term, and a memo owned by one reduction remembers that index per
+monomial while the reducer list only grows.  Pair handling uses the
+Gebauer-Moeller update (which subsumes the coprime and chain criteria) with
+a deterministic selection: minimal lcm degree first, FIFO among equals; the
+Groebner-basis checker walks the same pairs.  Reduction is full tail
+reduction, so bases come out reduced and initial ideals are canonical.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -66,21 +66,14 @@ class Budget:
             raise BudgetExceeded("time budget exceeded")
 
 
-_NO_BUDGET = Budget()
-
-# Packed monomial -> coefficient; coefficients are ints when integral and
-# Fractions otherwise.
+# Packed monomial -> exact coefficient, an int or a Fraction as the
+# arithmetic yields it.
 Terms = dict[int, int | Fraction]
 # One basis element: (exponent part of its lead, monic tail terms, packed lead).
 Reducer = tuple[int, Terms, int]
 # Packed monomial -> the index of its first divisor in a reducer list, or ~k
 # when none of the first k reducers divides it.
 Memo = dict[int, int]
-
-
-def _exact(c: int | Fraction) -> int | Fraction:
-    """An integral coefficient as an int, any other one unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 _OVERFLOW = "exponent outside 0..32767, the range of a packed monomial"
@@ -120,7 +113,7 @@ class _Engine:
                 m = _pack(e)
                 if m & guard:
                     raise RingError(_OVERFLOW)
-                out[key(e) << shift | m] = _exact(c)
+                out[key(e) << shift | m] = c
             return out
 
         def lift(m: int) -> tuple[int, int]:
@@ -145,11 +138,11 @@ class _Engine:
             tail = {m: -c for m, c in terms.items() if m != lead}
         else:
             lc = Fraction(lc)
-            tail = {m: _exact(c / lc) for m, c in terms.items() if m != lead}
+            tail = {m: c / lc for m, c in terms.items() if m != lead}
         return lead & self.exponents, tail, lead
 
     def reduce_full(
-        self, work: Terms, reducers: Sequence[Reducer], leads: Sequence[int], memo: Memo | None = None
+        self, work: Terms, reducers: Sequence[Reducer], leads: Sequence[int], memo: Memo
     ) -> Terms:
         """Full normal form of work (consumed) against reducers, largest
         reducible term first.
@@ -162,8 +155,6 @@ class _Engine:
         ``memo`` remembers each popped monomial's first divisor; it is exact
         only while reducers grows by appends alone.
         """
-        if memo is None:
-            memo = {}
         out: Terms = {}
         tick = self.budget.tick
         guard = self.guard
@@ -186,7 +177,7 @@ class _Engine:
                         break
                 else:
                     memo[m] = ~len(reducers)
-                    out[m] = _exact(c)
+                    out[m] = c
                     continue
                 memo[m] = k
             _, tail, lead = reducers[k]
@@ -219,14 +210,14 @@ def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
     return out
 
 
-# (basis, ring, order, records, exponent leads, memo) of the last basis
-# reduced against.
+# (basis, ring, order, records, exponent leads) of the last basis reduced
+# against.
 # Membership loops take all their normal forms against one cached basis tuple
 # before they move on, so one slot suffices.  It is keyed on the tuple's
 # identity, which the slot's own reference keeps from being reused; records
-# depend only on the basis, ring and order, and reduce_full only reads them,
-# so the first-divisor memo stays exact for as long as the slot.
-_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], tuple[int, ...], Memo] | None = None
+# depend only on the basis, ring and order.  The slot holds no memo, so it
+# keeps nothing that grows with the work done against it.
+_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], tuple[int, ...]] | None = None
 
 
 def normal_form(
@@ -249,17 +240,20 @@ def _normal_forms(
     """The normal form of each term dict f of ring against one basis, as
     term dicts, yielded as fs is read.
 
-    One engine, one record list and one first-divisor memo serve every f.
-    The records and the memo are kept in ``_last_records`` and reused by the
+    One engine, one record list and one first-divisor memo serve every f of
+    the call.  The records are kept in ``_last_records`` and reused by the
     next call that passes the same basis tuple under an equal ring and order.
+    The dicts carry the engine's exact values: after a division by a lead
+    coefficient an integral value may be a Fraction, while ``cm_type_odd``'s
+    leads are ±1, so its rows stay int.
     """
     global _last_records
     order = order or canonical_order(ring)
-    engine = _Engine(ring, order, budget or _NO_BUDGET)
+    engine = _Engine(ring, order, budget or Budget())
     basis = tuple(basis)  # a tuple is itself; a list is copied, so never a hit
     last = _last_records
     if last is not None and last[0] is basis and last[1] == ring and last[2] == order:
-        reducers, leads, memo = last[3:]
+        reducers, leads = last[3:]
     else:
         for g in basis:
             if g.ring != ring:
@@ -268,8 +262,8 @@ def _normal_forms(
                 raise RingError("zero polynomial in reduction basis")
         reducers = tuple(engine.reducer(engine.pack(g.terms)) for g in basis)
         leads = tuple(rec[0] for rec in reducers)
-        memo = {}
-        _last_records = basis, ring, order, reducers, leads, memo
+        _last_records = basis, ring, order, reducers, leads
+    memo: Memo = {}
     for f in fs:
         yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
 
@@ -401,7 +395,7 @@ def _pairs_of(
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingError("generators live in different rings")
-    engine = _Engine(ring, order or canonical_order(ring), budget or _NO_BUDGET)
+    engine = _Engine(ring, order or canonical_order(ring), budget or Budget())
     pairs = _Pairs(engine)
     for g in gens:
         # an insertion is no step, but many of them can outlast the budget
@@ -425,30 +419,33 @@ def buchberger(
 
 
 def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:
-    """Minimalize then interreduce, returning the unique reduced basis.
+    """Minimalize and interreduce, returning the unique reduced basis.
 
-    The minimal records are taken in ascending lead order.  A later lead is
-    larger, so it divides no term of an earlier element; each element reduces
-    against the ones before it, keeps its lead with coefficient 1, and the
-    output ascends without a final sort.  No earlier lead divides the lead
-    itself either, as the leads are minimal, so only the tail is reduced; the
-    lead still counts its step.
+    The records are taken in ascending lead order, and one is kept when no
+    kept lead divides its own.  A later lead is larger, so it divides no term
+    of an earlier element; each kept element reduces against the ones kept
+    before it, keeps its lead with coefficient 1, and the output ascends
+    without a final sort.  The kept list grows by appends alone, so one
+    first-divisor memo serves every element.  No kept lead divides the lead
+    itself, so only the tail is reduced; the lead still counts its step.
     """
     guard = engine.guard
     minimal: list[Reducer] = []
+    leads: list[int] = []
+    memo: Memo = {}
+    reduced = []
     for rec in sorted(basis, key=itemgetter(2)):
-        lg = rec[0] | guard
-        for prev, _, _ in minimal:
-            if (lg - prev) & guard == guard:  # packed_divides(prev, rec[0]) in tests/oracles.py
+        elead, tail, lead = rec
+        lg = elead | guard
+        for prev in leads:
+            if (lg - prev) & guard == guard:  # packed_divides(prev, elead) in tests/oracles.py
                 break
         else:
+            engine.budget.tick()  # the lead's step
+            terms = engine.reduce_full(dict(tail), minimal, leads, memo)
+            reduced.append(Polynomial(engine.ring, engine.unpack({lead: 1, **terms})))
             minimal.append(rec)
-    leads = [rec[0] for rec in minimal]
-    reduced = []
-    for pos, (_, tail, lead) in enumerate(minimal):
-        engine.budget.tick()  # the lead's step
-        terms = engine.reduce_full(dict(tail), minimal[:pos], leads[:pos])
-        reduced.append(Polynomial(engine.ring, engine.unpack({lead: 1, **terms})))
+            leads.append(elead)
     return tuple(reduced)
 
 

@@ -3,8 +3,9 @@
 Variables are organized in named blocks (e.g. an X block and a Y block) so
 that block orders and block eliminations can be expressed uniformly.  A
 monomial is a dense tuple of non-negative exponents, one per ring variable in
-declaration order; a polynomial maps monomials to nonzero Fraction
-coefficients.  Everything is immutable and safe to share between tasks.
+declaration order; a polynomial maps monomials to nonzero coefficients, each
+an int when integral and a Fraction otherwise.  Everything is immutable and
+safe to share between tasks.
 """
 
 from __future__ import annotations
@@ -129,13 +130,14 @@ class Polynomial:
 
     __slots__ = ("ring", "_terms", "_hash")
 
-    def __init__(self, ring: RingSpec, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, ring: RingSpec, terms: Mapping[Exponents, int | Fraction]):
         if any(len(exps) != ring.nvars for exps in terms):
             raise RingError("exponent vector length does not match ring")
         if any(min(exps, default=0) < 0 for exps in terms):
             raise RingError("negative exponent")
         self.ring = ring
-        self._terms = {e: Fraction(c) for e, c in terms.items() if c}
+        # one form per value: an integral coefficient is kept as an int
+        self._terms = {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
         self._hash: int | None = None
 
     # -- constructors --
@@ -146,7 +148,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, ring: RingSpec) -> "Polynomial":
-        return cls(ring, {ring.one_exps(): Fraction(1)})
+        return cls(ring, {ring.one_exps(): 1})
 
     @classmethod
     def variable(cls, ring: RingSpec, name: str) -> "Polynomial":
@@ -155,24 +157,24 @@ class Polynomial:
             exps[ring.var_index[name]] = 1
         except KeyError:
             raise RingError(f"no variable {name!r} in ring") from None
-        return cls(ring, {tuple(exps): Fraction(1)})
+        return cls(ring, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, ring: RingSpec, exps: Exponents, coeff: int | Fraction = 1) -> "Polynomial":
-        return cls(ring, {tuple(exps): Fraction(coeff)})
+        return cls(ring, {tuple(exps): coeff})
 
     # -- mapping access --
 
     @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
+    def terms(self) -> Mapping[Exponents, int | Fraction]:
         """Read-only view of the term dict, without a copy."""
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(exps, Fraction(0))
+    def coefficient(self, exps: Exponents) -> int | Fraction:
+        return self._terms.get(exps, 0)
 
     def monomials(self) -> list[Exponents]:
         return list(self._terms)
@@ -192,7 +194,7 @@ class Polynomial:
         self._require_same_ring(other)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            c = out.get(exps, Fraction(0)) + coeff
+            c = out.get(exps, 0) + coeff
             if c:
                 out[exps] = c
             else:
@@ -207,13 +209,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         self._require_same_ring(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int | Fraction] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = mono_mul(ea, eb)
-                c = out.get(e, Fraction(0)) + ca * cb
+                c = out.get(e, 0) + ca * cb
                 if c:
                     out[e] = c
                 else:
@@ -222,9 +224,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "Polynomial":
-        if c == 0:
-            return Polynomial.zero(self.ring)
+    def scale(self, c: int | Fraction) -> "Polynomial":
         return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -249,7 +249,7 @@ class Polynomial:
         """This polynomial in ``ring``, variables matched by name; RingError if
         a variable that occurs here is missing there (others need not be)."""
         pos = [ring.var_index.get(v) for v in self.ring.variables]
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, int | Fraction] = {}
         for exps, coeff in self._terms.items():
             vec = [0] * ring.nvars
             for name, p, e in zip(self.ring.variables, pos, exps):
@@ -262,7 +262,7 @@ class Polynomial:
 
     # -- text format --
 
-    def sorted_terms(self, key=None) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self, key=None) -> list[tuple[Exponents, int | Fraction]]:
         """Terms in descending order; ``key`` maps exponents to order keys."""
         if key is None:
             from .orders import canonical_order  # local import to avoid a cycle

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cycle_rees import groebner
+from cycle_rees.classify import cm_type_odd
 from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
@@ -172,7 +173,7 @@ def memo_free_normal_form(f: Polynomial, basis, order: OrderSpec) -> Polynomial:
     engine = groebner._Engine(f.ring, order, Budget())
     reducers = [engine.reducer(engine.pack(g.terms)) for g in basis]
     leads = [rec[0] for rec in reducers]
-    return Polynomial(f.ring, engine.unpack(engine.reduce_full(engine.pack(f.terms), reducers, leads)))
+    return Polynomial(f.ring, engine.unpack(engine.reduce_full(engine.pack(f.terms), reducers, leads, {})))
 
 
 def test_first_divisor_memo_matches_memo_free_normal_forms():
@@ -182,18 +183,23 @@ def test_first_divisor_memo_matches_memo_free_normal_forms():
         first, second = (buchberger([random_poly(rng) for _ in range(3)], order) for _ in range(2))
         fs = [random_poly(rng, max_terms=5, max_exp=4) for _ in range(4)]
         expected = {id(basis): [memo_free_normal_form(f, basis, order) for f in fs] for basis in (first, second)}
-        # repeated calls against one cached basis tuple share one memo
+        # one call's normal forms share one memo; a repeated call reuses the records
         for _ in range(2):
             got = groebner._normal_forms(SMALL_RING, [f.terms for f in fs], first, order)
             assert [Polynomial(SMALL_RING, r) for r in got] == expected[id(first)]
-        memo = groebner._last_records[5]
-        assert normal_form(fs[0], first, order) == expected[id(first)][0]
-        assert groebner._last_records[5] is memo
         # a list basis never hits; a second basis interleaves with the first
         for k, f in enumerate(fs):
             assert normal_form(f, list(first), order) == expected[id(first)][k]
             assert normal_form(f, second, order) == expected[id(second)][k]
             assert normal_form(f, first, order) == expected[id(first)][k]
+
+
+def test_last_records_slot_holds_no_memo():
+    cm_type_odd(9)
+    basis, ring, order, reducers, leads = groebner._last_records
+    assert len(basis) == len(reducers) == len(leads)
+    assert all(isinstance(g, Polynomial) for g in basis)
+    assert leads == tuple(rec[0] for rec in reducers)
 
 
 class NoMemo(dict):
@@ -204,24 +210,28 @@ class NoMemo(dict):
 
 
 def test_first_divisor_memo_changes_no_basis_and_no_step(monkeypatch):
+    """Every memo owner (the pair queue, interreduction and _normal_forms)
+    reduces through reduce_full, so patching it disables all three."""
     rng = random.Random(19)
     order = OrderSpec(((("X",), "grevlex"),))
     cases = [([random_poly(rng, max_terms=4, max_exp=3) for _ in range(3)], order) for _ in range(20)]
     G = graph_ideal(PathIdealSpec(6, 4))
     cases.append((list(G.generators), elimination_order(G.ring, ("S",))))
-    init = groebner._Pairs.__init__
+    reduce_full = groebner._Engine.reduce_full
 
-    def memo_free_init(self, engine):
-        init(self, engine)
-        self.memo = NoMemo()
+    def memo_free_reduce_full(self, work, reducers, leads, memo):
+        return reduce_full(self, work, reducers, leads, NoMemo())
 
     for gens, order in cases:
         budget = Budget()
         gb = buchberger(gens, order, budget)
+        fs = [random_poly(rng, gens[0].ring, max_terms=4) for _ in range(3)]
+        nfs = [normal_form(f, gb, order, budget) for f in fs]
         with monkeypatch.context() as patch:
-            patch.setattr(groebner._Pairs, "__init__", memo_free_init)
+            patch.setattr(groebner._Engine, "reduce_full", memo_free_reduce_full)
             memo_free_budget = Budget()
             assert buchberger(gens, order, memo_free_budget) == gb
+            assert [normal_form(f, list(gb), order, memo_free_budget) for f in fs] == nfs
         assert budget.steps == memo_free_budget.steps
 
 
@@ -398,6 +408,19 @@ def test_rees_basis_has_reduced_shape(n, t, rees_cache):
     J = rees_cache(n, t)
     order = product_order(J.ring)
     assert_reduced_shape(J.groebner_basis(order), order)
+
+
+def test_engine_results_keep_integral_coefficients_as_ints(rees_cache):
+    J = rees_cache(6, 4)
+    gb = J.groebner_basis(product_order(J.ring))
+    remainder = normal_form(parse_polynomial(J.ring, "y1^2*x2 + 3*y1*y3*y5 - 2*x1*x3"), gb)
+    # the record of 2*a - 4*b divides by its lead coefficient, so the engine
+    # computes the remainder's coefficient 2 as a Fraction
+    ab = RingSpec((("X", ("a", "b")),))
+    two_b = normal_form(parse_polynomial(ab, "a"), [parse_polynomial(ab, "2*a - 4*b")])
+    assert two_b == parse_polynomial(ab, "2*b")
+    assert not remainder.is_zero()
+    assert all(type(c) is int for g in (*gb, remainder, two_b) for c in g.terms.values())
 
 
 small_exps = st.tuples(*([st.integers(min_value=0, max_value=2)] * SMALL_RING.nvars))

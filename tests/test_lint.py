@@ -98,3 +98,33 @@ def test_no_unused_private_names():
         if private not in used
     }
     assert not unused, f"private names defined but never referenced: {unused}"
+
+
+def calls_budget(node: ast.AST) -> bool:
+    """Whether an expression calls ``Budget`` or ``<module>.Budget``."""
+    return any(
+        isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Budget"
+        for call in ast.walk(node)
+    )
+
+
+def test_module_state_is_the_one_record_slot():
+    """A module-level value is shared by every caller in the process: the
+    engine's slot of basis records is the only one a function rebinds, and no
+    module holds a Budget, whose steps would run on from call to call."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    rebound = [
+        (name, target)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global)
+        for target in node.names
+    ]
+    assert rebound == [("groebner.py", "_last_records")]
+    budgets = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and calls_budget(node.value)
+    ]
+    assert not budgets, f"module-level Budget: {budgets}"

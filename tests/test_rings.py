@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,6 +206,41 @@ def test_normalization_idempotent(p):
 @given(polys6)
 def test_text_roundtrip_random(p):
     assert parse_polynomial(R6, p.to_text()) == p
+
+
+def one_form(p: Polynomial) -> bool:
+    """Every coefficient is an int exactly when it is integral, else a Fraction."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+
+
+mixed_coeffs = st.one_of(st.integers(min_value=-4, max_value=4), coeffs).filter(lambda c: c != 0)
+mixed_polys6 = st.dictionaries(exponents6, mixed_coeffs, max_size=5).map(lambda d: Polynomial(R6, d))
+REVERSED6 = RingSpec((("K", R6.variables[::-1]),))
+
+
+@given(mixed_polys6, mixed_polys6, mixed_coeffs)
+def test_integral_coefficients_are_ints(p, q, c):
+    built = [Polynomial.monomial(R6, R6.one_exps(), c), p.to_ring(REVERSED6), parse_polynomial(R6, p.to_text())]
+    results = [p, p + q, p - q, -p, p * q, p * c, c * p, p.scale(c), *built]
+    assert all(one_form(r) for r in results)
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = Polynomial.monomial(R6, R6.one_exps(), Fraction(4, 2))
+    assert type(p.coefficient(R6.one_exps())) is int
+    assert p.coefficient(R6.one_exps()) == 2
+    assert type(p.coefficient((1,) + (0,) * (R6.nvars - 1))) is int  # an absent term reads 0
+    assert p.to_text() == "2"
+
+
+@given(st.dictionaries(exponents6, st.integers(min_value=-4, max_value=4), max_size=5))
+def test_int_and_fraction_inputs_build_one_polynomial(d):
+    ints = Polynomial(R6, d)
+    fractions = Polynomial(R6, {e: Fraction(c) for e, c in d.items()})
+    assert ints == fractions
+    assert hash(ints) == hash(fractions)
+    assert ints.to_text() == fractions.to_text()
+    assert [type(c) for c in ints.terms.values()] == [type(c) for c in fractions.terms.values()]
 
 
 def exponent_vectors(n: int):
