@@ -17,9 +17,8 @@ domains), and the Cohen-Macaulay type of the Artinian reduction for odd n.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat, tee
 from math import comb, gcd
 
 from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal, ideal_membership
@@ -139,6 +138,8 @@ def classification_table(
     ns, ts = zip(*[(n, t) for n in range(n_min, n_max + 1) for t in range(1, n)])
     if jobs <= 1:
         return list(map(classify, ns, ts, repeat(budget_secs)))
+    from concurrent.futures import ProcessPoolExecutor  # about 30 ms of imports, paid only here
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
         return list(pool.map(classify, ns, ts, repeat(budget_secs), chunksize=1))
 
@@ -209,26 +210,25 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     if len(pure_powers) < ring.nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
 
+    # one walk from 1 up: x_i * b, for each standard b as the growing list is
+    # read, is reduced against one set of basis records and is standard exactly
+    # when it is its own normal form; the basis is pure-difference binomials and
+    # monomials, so each normal form is 0 or one monomial with coefficient 1
     one = ring.one_exps()
     standard = [one]
-    seen = {one}
-    for m in standard:
-        for i in range(ring.nvars):
-            nxt = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if nxt not in seen and not K.contains(nxt):
-                seen.add(nxt)
-                standard.append(nxt)
-    index = {m: c for c, m in enumerate(standard)}
+    index = {one: 0}
+    shifted, feed = tee({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
+    nfs = []
+    for f, nf in zip(shifted, _normal_forms(ring, feed, gb, order, budget)):
+        nfs.append(nf)
+        (m,) = f
+        if nf == f and m not in index:
+            index[m] = len(standard)
+            standard.append(m)
     size = len(standard)
-
-    # every x_i * b, reduced against one set of basis records as it is read;
-    # the basis is pure-difference binomials and monomials, so each normal
-    # form is 0 or one monomial with coefficient 1, and rows are integral
-    shifted = ({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
-    nfs = _normal_forms(ring, shifted, gb, order, budget)
     rows = [
-        {i * size + index[exps]: coeff for i, nf in enumerate(islice(nfs, ring.nvars)) for exps, coeff in nf.items()}
-        for _ in standard
+        {i * size + index[exps]: coeff for i, nf in enumerate(nfs[k : k + ring.nvars]) for exps, coeff in nf.items()}
+        for k in range(0, len(nfs), ring.nvars)
     ]
     return size - sparse_rank(rows)
 

@@ -123,6 +123,7 @@ class _Engine:
 
         self.pack = pack
         self.lift = lift
+        self.excess: dict[int, tuple[int, int]] = {}  # lifts of lcm excesses over a newcomer's lead
 
     def unpack(self, terms: Terms) -> dict[Exponents, int | Fraction]:
         exponents, nvars = self.exponents, self.nvars
@@ -301,7 +302,7 @@ class _Pairs:
         """
         engine, leads, alive, heap, counter = self.engine, self.leads, self.alive, self.heap, self.counter
         t = len(leads)
-        lf = new[0]
+        lf, _, packed_lf = new
         guard = engine.guard
         # lcm(lead, lf) is lf plus lead's excess over lf, the fields of
         # (lead | guard) - lf that kept their guard bit (packed_lcm in
@@ -344,6 +345,9 @@ class _Pairs:
                     break
             else:
                 minimal.append(lcm)
+        # the key is linear, so an lcm packs and weighs as lf plus its excess
+        # over lf, which is small and repeats across insertions
+        degree_lf, excess = sum(_unpack(lf, engine.nvars)), engine.excess
         pushed = []
         for lcm in minimal:
             group = lcm_groups[lcm]
@@ -353,7 +357,9 @@ class _Pairs:
                 if leads[i] + lf == lcm:
                     break
             else:
-                pushed.append((*engine.lift(lcm), group[0], lcm))  # groups ascend
+                q = lcm - lf
+                packed_q, degree_q = excess.get(q) or excess.setdefault(q, engine.lift(q))
+                pushed.append((packed_lf + packed_q, degree_lf + degree_q, group[0], lcm))  # groups ascend
         # FIFO ties among equal degrees follow the term order of the lcms
         pushed.sort()
         for packed, degree, i, lcm in pushed:
@@ -415,7 +421,9 @@ def buchberger(
         return ()
     for _, _, r in pairs.remainders():
         pairs.insert(pairs.engine.reducer(r))
-    return _reduce_basis(pairs.engine, pairs.basis)
+    engine, basis = pairs.engine, pairs.basis
+    del pairs  # frees the queue's memo, live pairs and heap before interreduction
+    return _reduce_basis(engine, basis)
 
 
 def _reduce_basis(engine: _Engine, basis: list[Reducer]) -> tuple[Polynomial, ...]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable
@@ -60,46 +61,52 @@ class OrderSpec:
         first, then, at equal degree, a larger S_{k-1} means a smaller last
         exponent.  Every field is a nonnegative linear form of the exponents,
         so the key of a product is the sum of the keys.  A field outside
-        0..2^32 - 1 raises RingError.
+        0..2^32 - 1 raises RingError.  Equal orders on equal rings share a key.
         """
-        self.validate(ring)
-        parts: list[Callable[[Exponents], tuple[int, ...]]] = []
-        for blocks, base in self.stages:
-            idxs = [i for b in blocks for i in ring.block_indices(b)]
-            if not idxs:
-                continue  # a block without variables compares nothing
-            if idxs == list(range(idxs[0], idxs[0] + len(idxs))):
-                read = itemgetter(slice(idxs[0], idxs[0] + len(idxs)))
-            else:
-                read = itemgetter(*idxs)
-            if base == "lex" or len(idxs) == 1:
-                parts.append(read)
-            else:
-                parts.append(lambda exps, read=read: tuple(accumulate(read(exps)))[::-1])
-        if len(parts) == 1:
-            (fields,) = parts
-        elif len(parts) == 2:
-            first, second = parts
-            fields = lambda exps: (*first(exps), *second(exps))
-        elif len(parts) == 3:
-            first, second, third = parts
-            fields = lambda exps: (*first(exps), *second(exps), *third(exps))
-        else:
-            fields = lambda exps: [f for part in parts for f in part(exps)]
-        pack = struct.Struct(f">{ring.nvars}I").pack
-        from_bytes = int.from_bytes
-
-        def key(exps: Exponents) -> int:
-            try:
-                return from_bytes(pack(*fields(exps)), "big")
-            except struct.error:  # a field below 0 or of 2^32 or more
-                raise RingError(f"order key field outside 0..{2**32 - 1}") from None
-
-        return key
+        return _compile_key(self, ring)
 
     def describe(self) -> list[dict[str, object]]:
         """JSON-friendly description, for certificates."""
         return [{"blocks": list(blocks), "base": base} for blocks, base in self.stages]
+
+
+@lru_cache(maxsize=128)
+def _compile_key(order: OrderSpec, ring: RingSpec) -> KeyFunction:
+    """The body of ``OrderSpec.key_function``, compiled once per (order, ring)."""
+    order.validate(ring)
+    parts: list[Callable[[Exponents], tuple[int, ...]]] = []
+    for blocks, base in order.stages:
+        idxs = [i for b in blocks for i in ring.block_indices(b)]
+        if not idxs:
+            continue  # a block without variables compares nothing
+        if idxs == list(range(idxs[0], idxs[0] + len(idxs))):
+            read = itemgetter(slice(idxs[0], idxs[0] + len(idxs)))
+        else:
+            read = itemgetter(*idxs)
+        if base == "lex" or len(idxs) == 1:
+            parts.append(read)
+        else:
+            parts.append(lambda exps, read=read: tuple(accumulate(read(exps)))[::-1])
+    if len(parts) == 1:
+        (fields,) = parts
+    elif len(parts) == 2:
+        first, second = parts
+        fields = lambda exps: (*first(exps), *second(exps))
+    elif len(parts) == 3:
+        first, second, third = parts
+        fields = lambda exps: (*first(exps), *second(exps), *third(exps))
+    else:
+        fields = lambda exps: [f for part in parts for f in part(exps)]
+    pack = struct.Struct(f">{ring.nvars}I").pack
+    from_bytes = int.from_bytes
+
+    def key(exps: Exponents) -> int:
+        try:
+            return from_bytes(pack(*fields(exps)), "big")
+        except struct.error:  # a field below 0 or of 2^32 or more
+            raise RingError(f"order key field outside 0..{2**32 - 1}") from None
+
+    return key
 
 
 def leading_term(order: OrderSpec, p) -> tuple[Exponents, "object"]:

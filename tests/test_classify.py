@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import importlib
+import concurrent.futures
 from math import gcd
 
 import pytest
@@ -191,7 +191,6 @@ def test_batch_normal_forms_match_single_calls():
 
 def test_table_pool_is_capped_at_the_cell_count(monkeypatch):
     """A large --jobs must not fork more workers than there are cells."""
-    classify_module = importlib.import_module("cycle_rees.classify")  # the package re-exports classify()
     recorded = []
 
     class FakePool:
@@ -207,7 +206,8 @@ def test_table_pool_is_capped_at_the_cell_count(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(classify_module, "ProcessPoolExecutor", FakePool)
+    # classification_table imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     records = classification_table(3, 4, jobs=10_000)
     assert recorded == [5]
     assert [(r.n, r.t) for r in records] == [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]

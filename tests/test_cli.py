@@ -289,9 +289,20 @@ def test_cli_output_matches_golden(name):
     ],
 )
 def test_module_entry_point(argv, code, stdout, stderr):
-    src = str(Path(cycle_rees.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "cycle_rees", *argv], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "cycle_rees", *argv], capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == code
     assert proc.stdout == stdout
     assert proc.stderr.startswith(stderr) if stderr else proc.stderr == ""
+
+
+def _src_env() -> dict[str, str]:
+    src = str(Path(cycle_rees.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_leaves_out_the_process_pool():
+    """Only `table --jobs` above 1 imports the process pool machinery."""
+    probe = "import sys; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    code = f"import cycle_rees; {probe}; import cycle_rees.cli; {probe}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n")

@@ -524,6 +524,19 @@ def test_pair_update_matches_reference(leads, base):
     assert popped == [(degree, i, j, mono_lcm(leads[i], leads[j])) for degree, i, j in queue]
 
 
+# a pair's lcm is queued as the newcomer's packed lead plus the lift of its
+# excess over that lead, which is exact because the key is linear
+@given(st.lists(packable, min_size=2, max_size=8), st.sampled_from(["lex", "grevlex"]))
+def test_queued_lcms_pack_as_lead_plus_excess(leads, base):
+    ring = RingSpec((("X", tuple("abc")), ("Y", tuple("de"))))
+    engine = groebner._Engine(ring, OrderSpec(((("Y",), "grevlex"), (("X",), base))), Budget())
+    pairs = groebner._Pairs(engine)
+    for lead in leads:
+        pairs.insert(engine.reducer(engine.pack({lead: 1})))
+    for degree, _, i, j, packed in pairs.heap:
+        assert (packed, degree) == engine.lift(packed_lcm(_pack(leads[i]), _pack(leads[j]), engine.guard))
+
+
 def test_packed_lead_exponent_limit():
     ring = RingSpec((("X", ("a", "b")),))
     order = OrderSpec(((("X",), "grevlex"),))

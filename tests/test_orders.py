@@ -167,6 +167,16 @@ def test_packed_monomials_sort_in_term_order(ring, order, data):
     assert packed_divides(pa & low, pb & low, engine.guard) == mono_divides(a, b)
 
 
+def test_key_is_compiled_once_per_order_and_ring():
+    # equal values in distinct objects share one compiled key
+    assert PO5.key_function(R5) is product_order(cycle_ring(5)).key_function(cycle_ring(5))
+    assert PO5.key_function(R5) is not PO4.key_function(R4)
+    # a failed compile is not remembered
+    for _ in range(2):
+        with pytest.raises(RingError, match="cover"):
+            PO4.key_function(S4)
+
+
 def test_key_fields_are_unsigned_32_bit():
     ring = RingSpec((("X", ("a", "b")),))
     lex, grevlex = (OrderSpec(((("X",), base),)).key_function(ring) for base in ("lex", "grevlex"))
