@@ -204,7 +204,6 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
         raise ValueError("need odd n >= 3")
     ring, order, gens = artinian_reduction_ideal(n)
     ideal = Ideal(ring, gens)
-    gb = ideal.groebner_basis(order, budget)
     K = initial_ideal(ideal, order, budget)
     pure_powers = {i for g in K.gens for i, e in enumerate(g) if e and sum(g) == e}
     if len(pure_powers) < ring.nvars:
@@ -219,7 +218,7 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     index = {one: 0}
     shifted, feed = tee({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
     nfs = []
-    for f, nf in zip(shifted, _normal_forms(ring, feed, gb, order, budget)):
+    for f, nf in zip(shifted, _normal_forms(ring, feed, ideal, order, budget)):
         nfs.append(nf)
         (m,) = f
         if nf == f and m not in index:

@@ -18,7 +18,9 @@ monomial while the reducer list only grows.  Pair handling uses the
 Gebauer-Moeller update (which subsumes the coprime and chain criteria) with
 a deterministic selection: minimal lcm degree first, FIFO among equals; the
 Groebner-basis checker walks the same pairs.  Reduction is full tail
-reduction, so bases come out reduced and initial ideals are canonical.
+reduction, so bases come out reduced and initial ideals are canonical.  An
+Ideal keeps the records of each cached basis, so the reductions against it
+pack that basis once.
 
 Every entry point accepts an optional Budget; exceeding it raises
 BudgetExceeded, which callers surface as "budget exceeded" rather than as a
@@ -142,6 +144,16 @@ class _Engine:
             tail = {m: c / lc for m, c in terms.items() if m != lead}
         return lead & self.exponents, tail, lead
 
+    def records(self, basis: Sequence[Polynomial]) -> tuple[tuple[Reducer, ...], tuple[int, ...]]:
+        """The monic records of a reduction basis and their exponent leads."""
+        for g in basis:
+            if g.ring != self.ring:
+                raise RingError("basis polynomial in a different ring")
+            if g.is_zero():
+                raise RingError("zero polynomial in reduction basis")
+        reducers = tuple(self.reducer(self.pack(g.terms)) for g in basis)
+        return reducers, tuple(rec[0] for rec in reducers)
+
     def reduce_full(
         self, work: Terms, reducers: Sequence[Reducer], leads: Sequence[int], memo: Memo
     ) -> Terms:
@@ -211,30 +223,21 @@ def _s_poly(f: Reducer, g: Reducer, lcm: int) -> Terms:
     return out
 
 
-# (basis, ring, order, records, exponent leads) of the last basis reduced
-# against.
-# Membership loops take all their normal forms against one cached basis tuple
-# before they move on, so one slot suffices.  It is keyed on the tuple's
-# identity, which the slot's own reference keeps from being reused; records
-# depend only on the basis, ring and order.  The slot holds no memo, so it
-# keeps nothing that grows with the work done against it.
-_last_records: tuple[tuple[Polynomial, ...], RingSpec, OrderSpec, tuple[Reducer, ...], tuple[int, ...]] | None = None
-
-
 def normal_form(
     f: Polynomial,
-    basis: Sequence[Polynomial],
+    basis: Sequence[Polynomial] | Ideal,
     order: OrderSpec | None = None,
     budget: Budget | None = None,
 ) -> Polynomial:
-    """Remainder of f on division by basis (in list order), fully reduced."""
+    """Remainder of f on division by basis (in list order), fully reduced; an
+    Ideal stands for its reduced basis under order."""
     return Polynomial(f.ring, next(_normal_forms(f.ring, [f.terms], basis, order, budget)))
 
 
 def _normal_forms(
     ring: RingSpec,
     fs: Iterable[Mapping[Exponents, int | Fraction]],
-    basis: Sequence[Polynomial],
+    basis: Sequence[Polynomial] | Ideal,
     order: OrderSpec | None = None,
     budget: Budget | None = None,
 ) -> Iterator[dict[Exponents, int | Fraction]]:
@@ -242,28 +245,22 @@ def _normal_forms(
     term dicts, yielded as fs is read.
 
     One engine, one record list and one first-divisor memo serve every f of
-    the call.  The records are kept in ``_last_records`` and reused by the
-    next call that passes the same basis tuple under an equal ring and order.
-    The dicts carry the engine's exact values: after a division by a lead
-    coefficient an integral value may be a Fraction, while ``cm_type_odd``'s
-    leads are ±1, so its rows stay int.
+    the call.  An Ideal stands for its reduced basis under order, whose
+    records it keeps for the next call; a sequence is read afresh on every
+    call.  The dicts carry the engine's exact values: after a division by a
+    lead coefficient an integral value may be a Fraction, while
+    ``cm_type_odd``'s leads are ±1, so its rows stay int.
     """
-    global _last_records
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or Budget())
-    basis = tuple(basis)  # a tuple is itself; a list is copied, so never a hit
-    last = _last_records
-    if last is not None and last[0] is basis and last[1] == ring and last[2] == order:
-        reducers, leads = last[3:]
+    if isinstance(basis, Ideal):
+        if basis.ring != ring:
+            raise RingError("basis polynomial in a different ring")
+        if order not in basis._records:
+            basis._records[order] = engine.records(basis.groebner_basis(order, budget))
+        reducers, leads = basis._records[order]
     else:
-        for g in basis:
-            if g.ring != ring:
-                raise RingError("basis polynomial in a different ring")
-            if g.is_zero():
-                raise RingError("zero polynomial in reduction basis")
-        reducers = tuple(engine.reducer(engine.pack(g.terms)) for g in basis)
-        leads = tuple(rec[0] for rec in reducers)
-        _last_records = basis, ring, order, reducers, leads
+        reducers, leads = engine.records(basis)
     memo: Memo = {}
     for f in fs:
         yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
@@ -478,7 +475,8 @@ def is_groebner_basis(
 
 
 class Ideal:
-    """Generators plus a per-order cache of reduced Groebner bases."""
+    """Generators plus, per order, a cache of the reduced Groebner basis and
+    of its engine records, which the first reduction against it fills."""
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -488,6 +486,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb_cache: dict[OrderSpec, tuple[Polynomial, ...]] = {}
+        self._records: dict[OrderSpec, tuple[tuple[Reducer, ...], tuple[int, ...]]] = {}
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -513,8 +512,7 @@ def ideal_membership(
         return True
     if ideal.is_zero_ideal():
         return False
-    gb = ideal.groebner_basis(order, budget)
-    return normal_form(f, gb, order or canonical_order(ideal.ring), budget).is_zero()
+    return normal_form(f, ideal, order, budget).is_zero()
 
 
 def ideal_equal(

@@ -68,9 +68,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def contains(self, exps: Exponents) -> bool:
-        return any(mono_divides(g, exps) for g in self.gens)
-
 
 def initial_ideal(ideal: Ideal, order: OrderSpec | None = None, budget: Budget | None = None) -> MonomialIdeal:
     """Minimal generators of the ideal of leading monomials of the reduced basis."""

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cycle_rees import groebner
-from cycle_rees.classify import cm_type_odd
 from cycle_rees.groebner import (
     Budget,
     BudgetExceeded,
@@ -160,6 +159,12 @@ def test_reused_basis_records_keep_the_input_checks():
     # the same basis tuple still rejects a polynomial of another ring
     with pytest.raises(RingError, match="basis polynomial in a different ring"):
         normal_form(parse_polynomial(cd, "c"), gb)
+    # so does an Ideal whose records are already kept
+    ideal = Ideal(ab, gb)
+    assert normal_form(parse_polynomial(ab, "a^3"), ideal) == parse_polynomial(ab, "a*b")
+    assert ideal._records
+    with pytest.raises(RingError, match="basis polynomial in a different ring"):
+        normal_form(parse_polynomial(cd, "c"), ideal)
     # a list basis is read afresh on every call
     f = parse_polynomial(ab, "a^2 + b")
     basis = [parse_polynomial(ab, "a - b")]
@@ -183,23 +188,33 @@ def test_first_divisor_memo_matches_memo_free_normal_forms():
         first, second = (buchberger([random_poly(rng) for _ in range(3)], order) for _ in range(2))
         fs = [random_poly(rng, max_terms=5, max_exp=4) for _ in range(4)]
         expected = {id(basis): [memo_free_normal_form(f, basis, order) for f in fs] for basis in (first, second)}
-        # one call's normal forms share one memo; a repeated call reuses the records
-        for _ in range(2):
-            got = groebner._normal_forms(SMALL_RING, [f.terms for f in fs], first, order)
+        # an Ideal whose cached basis is first stands for first
+        ideal = Ideal(SMALL_RING, first)
+        assert ideal.groebner_basis(order) == first
+        # one call's normal forms share one memo; an Ideal's second call reuses its records
+        for basis in (first, ideal, ideal):
+            got = groebner._normal_forms(SMALL_RING, [f.terms for f in fs], basis, order)
             assert [Polynomial(SMALL_RING, r) for r in got] == expected[id(first)]
-        # a list basis never hits; a second basis interleaves with the first
+        # a second basis interleaves with the first
         for k, f in enumerate(fs):
             assert normal_form(f, list(first), order) == expected[id(first)][k]
             assert normal_form(f, second, order) == expected[id(second)][k]
             assert normal_form(f, first, order) == expected[id(first)][k]
 
 
-def test_last_records_slot_holds_no_memo():
-    cm_type_odd(9)
-    basis, ring, order, reducers, leads = groebner._last_records
-    assert len(basis) == len(reducers) == len(leads)
-    assert all(isinstance(g, Polynomial) for g in basis)
+def test_ideal_keeps_records_and_no_memo(rees_cache):
+    J = rees_cache(6, 4)
+    order = product_order(J.ring)
+    h = parse_polynomial(J.ring, "y1*y3*y5 - y0*y2*y4")
+    assert ideal_membership(h, J, order)
+    kept = J._records[order]
+    reducers, leads = kept
+    assert isinstance(reducers, tuple) and isinstance(leads, tuple)
+    assert len(reducers) == len(leads) == len(J.groebner_basis(order))
     assert leads == tuple(rec[0] for rec in reducers)
+    # a second membership reuses the same immutable pair: nothing kept grows
+    assert ideal_membership(h * h, J, order)
+    assert J._records[order] is kept
 
 
 class NoMemo(dict):
@@ -235,11 +250,15 @@ def test_first_divisor_memo_changes_no_basis_and_no_step(monkeypatch):
         assert budget.steps == memo_free_budget.steps
 
 
-def test_second_membership_packs_no_basis_element(rees_cache, monkeypatch):
+def test_second_membership_packs_no_basis_element(rees_cache, sym_cache, monkeypatch):
     J = rees_cache(6, 4)
     order = product_order(J.ring)
     h = parse_polynomial(J.ring, "y1*y3*y5 - y0*y2*y4")
     assert ideal_membership(h, J, order)
+    # a membership in L of the same cell keeps J's records
+    L = sym_cache(6, 4)
+    assert L.ring == J.ring
+    assert not ideal_membership(h, L, order)
     packed = []
     init = groebner._Engine.__init__
 
