@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat, tee
+from itertools import repeat
 from math import comb, gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, _normal_forms, ideal_equal, ideal_membership
+from .groebner import Budget, BudgetExceeded, Ideal, _reducer, ideal_equal, ideal_membership
 from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import product_order
@@ -88,7 +88,6 @@ def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -
     t2 = time.perf_counter()
     ms["rees"] = (t2 - t1) * 1000
     if ideal_equal(L, J, order, budget):
-        ms["fiber"] = 0.0
         return "linear", None
     H = fiber_ideal(J, budget)
     ms["fiber"] = (time.perf_counter() - t2) * 1000
@@ -209,27 +208,25 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     if len(pure_powers) < ring.nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
 
-    # one walk from 1 up: x_i * b, for each standard b as the growing list is
-    # read, is reduced against one set of basis records and is standard exactly
-    # when it is its own normal form; the basis is pure-difference binomials and
-    # monomials, so each normal form is 0 or one monomial with coefficient 1
-    one = ring.one_exps()
-    standard = [one]
-    index = {one: 0}
-    shifted, feed = tee({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1} for b in standard for i in range(ring.nvars))
-    nfs = []
-    for f, nf in zip(shifted, _normal_forms(ring, feed, ideal, order, budget)):
-        nfs.append(nf)
-        (m,) = f
-        if nf == f and m not in index:
-            index[m] = len(standard)
-            standard.append(m)
+    # one walk from 1 up: x_i * b, for each standard b as the list grows, is
+    # standard exactly when it is its own normal form; modulo pure-difference
+    # binomials and monomials, each normal form is 0 or one monomial with coefficient 1
+    reduce = _reducer(ring, ideal, order, budget)
+    standard = [ring.one_exps()]
+    index = {standard[0]: 0}
+    rows = []  # per standard b, the normal forms of x_1 b, ..., x_nvars b
+    for b in standard:
+        rows.append([])
+        for i in range(ring.nvars):
+            m = b[:i] + (b[i] + 1,) + b[i + 1 :]
+            nf = reduce({m: 1})
+            rows[-1].append(nf)
+            if nf == {m: 1} and m not in index:
+                index[m] = len(standard)
+                standard.append(m)
     size = len(standard)
-    rows = [
-        {i * size + index[exps]: coeff for i, nf in enumerate(nfs[k : k + ring.nvars]) for exps, coeff in nf.items()}
-        for k in range(0, len(nfs), ring.nvars)
-    ]
-    return size - sparse_rank(rows)
+    matrix = ({i * size + index[exps]: coeff for i, nf in enumerate(row) for exps, coeff in nf.items()} for row in rows)
+    return size - sparse_rank(matrix)
 
 
 def conjecture_fiber_iff_divides(records: list[ClassRecord]) -> list[tuple[int, int, bool]]:

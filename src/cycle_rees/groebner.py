@@ -35,7 +35,7 @@ import struct
 import time
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .orders import OrderSpec, canonical_order, elimination_order
 from .rings import Exponents, Polynomial, RingError, RingSpec
@@ -231,25 +231,23 @@ def normal_form(
 ) -> Polynomial:
     """Remainder of f on division by basis (in list order), fully reduced; an
     Ideal stands for its reduced basis under order."""
-    return Polynomial(f.ring, next(_normal_forms(f.ring, [f.terms], basis, order, budget)))
+    return Polynomial(f.ring, _reducer(f.ring, basis, order, budget)(f.terms))
 
 
-def _normal_forms(
+def _reducer(
     ring: RingSpec,
-    fs: Iterable[Mapping[Exponents, int | Fraction]],
     basis: Sequence[Polynomial] | Ideal,
     order: OrderSpec | None = None,
     budget: Budget | None = None,
-) -> Iterator[dict[Exponents, int | Fraction]]:
-    """The normal form of each term dict f of ring against one basis, as
-    term dicts, yielded as fs is read.
+) -> Callable[[Mapping[Exponents, int | Fraction]], dict[Exponents, int | Fraction]]:
+    """The normal form against one basis, as a map from the term dict of a
+    polynomial of ring to that of its normal form.
 
-    One engine, one record list and one first-divisor memo serve every f of
-    the call.  An Ideal stands for its reduced basis under order, whose
-    records it keeps for the next call; a sequence is read afresh on every
-    call.  The dicts carry the engine's exact values: after a division by a
-    lead coefficient an integral value may be a Fraction, while
-    ``cm_type_odd``'s leads are ±1, so its rows stay int.
+    Its calls share one engine, one record list and one first-divisor memo.
+    An Ideal stands for its reduced basis under order and keeps the records
+    for its next reducer; a sequence is packed afresh.  A value may be a
+    Fraction after a division by a lead coefficient; ``cm_type_odd``'s leads
+    are ±1, so its rows stay int.
     """
     order = order or canonical_order(ring)
     engine = _Engine(ring, order, budget or Budget())
@@ -262,8 +260,7 @@ def _normal_forms(
     else:
         reducers, leads = engine.records(basis)
     memo: Memo = {}
-    for f in fs:
-        yield engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
+    return lambda f: engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
 
 
 class _Pairs:
@@ -563,5 +560,5 @@ def eliminate(
     dropped = [i for b in drop for i in ring.block_indices(b)]
     projected = tuple(g.to_ring(subring) for g in gb if not any(e[i] for e in g.terms for i in dropped))
     result = Ideal(subring, projected)
-    result._gb_cache[OrderSpec(order.stages[len(drop) :])] = projected
+    result._gb_cache[canonical_order(subring)] = projected
     return result

@@ -61,8 +61,13 @@ class MonomialIdeal:
     ring: RingSpec
     gens: tuple[Exponents, ...]
 
+    def __post_init__(self) -> None:
+        for g in self.gens:
+            _checked(self.ring, g)
+
     @classmethod
     def from_exponents(cls, ring: RingSpec, gens: Iterable[Exponents]) -> "MonomialIdeal":
+        # check all: minimalizing could drop too short a vector unchecked
         return cls(ring, _minimalize([_checked(ring, g) for g in gens]))
 
     def is_zero(self) -> bool:

@@ -18,7 +18,7 @@ from cycle_rees.classify import (
     render_table,
     verify_hilbert,
 )
-from cycle_rees.groebner import Budget, BudgetExceeded, _normal_forms, buchberger, normal_form
+from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal, hilbert_numerator
 from cycle_rees.orders import product_order
 from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, family_n_minus_2, rees_ideal
@@ -85,6 +85,13 @@ def test_classify_single_cell():
         "gcd": 2,
         "fiber_dim": 5,
     }
+
+
+def test_linear_cell_times_only_the_stages_it_ran():
+    # a linear cell stops before the fiber stage, so it reports no time for it
+    rec = classify(6, 5)
+    assert rec.klass == "linear"
+    assert set(rec.ms) == {"sym", "rees"}
 
 
 def test_classify_timeout_is_reported_not_guessed():
@@ -184,9 +191,10 @@ def test_batch_normal_forms_match_single_calls():
     f1 = parse_polynomial(ring, "x1^3*x4 - 2*x3^2*x5 + x1^2*x6 + x2")
     f2 = parse_polynomial(ring, "x5^2*x6 + x4*x6 - 1/3*x1")
     for b in (basis, gens, []):
-        expected = [dict(normal_form(f1, b, order).terms), dict(normal_form(f2, b, order).terms)]
-        assert list(_normal_forms(ring, [f1.terms, f2.terms], b, order)) == expected
-    assert list(_normal_forms(ring, [], basis, order)) == []
+        # one reducer over several f, in either order, against fresh calls
+        reduce = _reducer(ring, b, order)
+        for f in (f1, f2, f1, f2 * f1):
+            assert reduce(f.terms) == dict(normal_form(f, b, order).terms)
 
 
 def test_table_pool_is_capped_at_the_cell_count(monkeypatch):

@@ -22,8 +22,16 @@ from cycle_rees.groebner import (
     is_groebner_basis,
     normal_form,
 )
-from cycle_rees.orders import OrderSpec, elimination_order, product_order
-from cycle_rees.rees import PathIdealSpec, family_half, family_n_minus_2, graph_ideal, rees_ideal, sym_relations
+from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
+from cycle_rees.rees import (
+    PathIdealSpec,
+    family_half,
+    family_n_minus_2,
+    fiber_ideal,
+    graph_ideal,
+    rees_ideal,
+    sym_relations,
+)
 from cycle_rees.rings import (
     Polynomial,
     RingError,
@@ -191,10 +199,13 @@ def test_first_divisor_memo_matches_memo_free_normal_forms():
         # an Ideal whose cached basis is first stands for first
         ideal = Ideal(SMALL_RING, first)
         assert ideal.groebner_basis(order) == first
-        # one call's normal forms share one memo; an Ideal's second call reuses its records
+        # one reducer's normal forms share one memo; an Ideal's second
+        # reducer reuses the records its first one kept
         for basis in (first, ideal, ideal):
-            got = groebner._normal_forms(SMALL_RING, [f.terms for f in fs], basis, order)
-            assert [Polynomial(SMALL_RING, r) for r in got] == expected[id(first)]
+            reduce = groebner._reducer(SMALL_RING, basis, order)
+            kept = ideal._records.get(order)
+            assert [Polynomial(SMALL_RING, reduce(f.terms)) for f in fs] == expected[id(first)]
+        assert ideal._records[order] is kept
         # a second basis interleaves with the first
         for k, f in enumerate(fs):
             assert normal_form(f, list(first), order) == expected[id(first)][k]
@@ -225,7 +236,7 @@ class NoMemo(dict):
 
 
 def test_first_divisor_memo_changes_no_basis_and_no_step(monkeypatch):
-    """Every memo owner (the pair queue, interreduction and _normal_forms)
+    """Every memo owner (the pair queue, interreduction and _reducer)
     reduces through reduce_full, so patching it disables all three."""
     rng = random.Random(19)
     order = OrderSpec(((("X",), "grevlex"),))
@@ -320,6 +331,15 @@ def test_eliminate_drops_a_middle_block():
 def test_eliminate_nothing_is_identity(rees_cache):
     J = rees_cache(4, 2)
     assert eliminate(J, []) is J
+
+
+def test_eliminated_ideals_cache_only_their_canonical_basis():
+    # eliminate seeds the projected basis under the subring's canonical order,
+    # the order a reduction against the result defaults to
+    J = rees_ideal(PathIdealSpec(6, 4))
+    assert list(J._gb_cache) == [canonical_order(J.ring)]
+    H = fiber_ideal(J)
+    assert list(H._gb_cache) == [canonical_order(H.ring)]
 
 
 def test_budget_exceeded_is_distinct():

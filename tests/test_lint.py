@@ -100,12 +100,13 @@ def test_no_unused_private_names():
     assert not unused, f"private names defined but never referenced: {unused}"
 
 
-def calls_budget(node: ast.AST) -> bool:
-    """Whether an expression calls ``Budget`` or ``<module>.Budget``."""
-    return any(
-        isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Budget"
+def calls_of(node: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of ``name`` or ``<module>.name`` in an expression or module."""
+    return [
+        call
         for call in ast.walk(node)
-    )
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+    ]
 
 
 def test_no_global_statement_and_no_module_budget():
@@ -121,6 +122,20 @@ def test_no_global_statement_and_no_module_budget():
         f"{name}:{node.lineno}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and calls_budget(node.value)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and calls_of(node.value, "Budget")
     ]
     assert not budgets, f"module-level Budget: {budgets}"
+
+
+def test_only_orders_builds_an_order():
+    """One owner for the order rule: every other module takes its orders from
+    the functions of ``orders``, never from stages it spells out itself."""
+    built = [
+        f"{path.name}:{call.lineno}"
+        for path in MODULES
+        if path.name != "orders.py"
+        for call in calls_of(ast.parse(path.read_text()), "OrderSpec")
+    ]
+    assert not built, f"OrderSpec built outside orders.py: {built}"

@@ -21,7 +21,7 @@ from cycle_rees.monomial_ideals import (
     x_condition,
 )
 from cycle_rees.orders import OrderSpec, product_order
-from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_divides, parse_polynomial
+from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_divides, parse_polynomial, x_ring
 
 from oracles import hilbert_by_inclusion_exclusion, pivot_least_frequent
 
@@ -83,6 +83,16 @@ def test_exponent_vectors_are_checked():
     ring = RingSpec((("X", ("a", "b")),))
     with pytest.raises(RingError, match="negative exponent"):
         MonomialIdeal.from_exponents(ring, [(-1, 2)])
+    # the generators given directly are checked too, not only by from_exponents
+    with pytest.raises(RingError, match="negative exponent"):
+        MonomialIdeal(ring, ((1, 0), (0, -1)))
+    with pytest.raises(RingError, match="length"):
+        MonomialIdeal(ring, ((1, 0, 0),))
+    with pytest.raises(RingError, match="negative exponent"):
+        hilbert_numerator(MonomialIdeal(x_ring(3), ((-1, 0, 0), (1, 2))))
+    # read pairwise, (1, 0) would divide the short (1,) and drop it unchecked
+    with pytest.raises(RingError, match="length"):
+        MonomialIdeal.from_exponents(ring, [(1, 0), (1,)])
     M = MonomialIdeal.from_exponents(ring, [(1, 1)])
     for p in [(0, -2), (-1, 0)]:
         with pytest.raises(RingError, match="negative exponent"):
