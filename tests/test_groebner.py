@@ -201,11 +201,12 @@ def test_first_divisor_memo_matches_memo_free_normal_forms():
         assert ideal.groebner_basis(order) == first
         # one reducer's normal forms share one memo; an Ideal's second
         # reducer reuses the records its first one kept
-        for basis in (first, ideal, ideal):
-            reduce = groebner._reducer(SMALL_RING, basis, order)
-            kept = ideal._records.get(order)
-            assert [Polynomial(SMALL_RING, reduce(f.terms)) for f in fs] == expected[id(first)]
+        reducers = [groebner._reducer(SMALL_RING, basis, order) for basis in (first, ideal)]
+        kept = ideal._records[order]
+        reducers.append(groebner._reducer(SMALL_RING, ideal, order))
         assert ideal._records[order] is kept
+        for reduce in reducers:
+            assert [Polynomial(SMALL_RING, reduce(f.terms)) for f in fs] == expected[id(first)]
         # a second basis interleaves with the first
         for k, f in enumerate(fs):
             assert normal_form(f, list(first), order) == expected[id(first)][k]
