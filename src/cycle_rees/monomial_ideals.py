@@ -12,9 +12,10 @@ ideal (d = 0) and every complete intersection of pure powers.  A class of at
 least two generators is memoised by its generator tuple and taken apart by
 pivot recursion,
 
-    K(M) = K(M + (p)) + z^deg(p) * K(M : p),
+    K(M) = K(M + (x_i)) + z * K(M : x_i),
 
-on a variable p that occurs in the most minimal generators.  Series are
+on a variable x_i that occurs in the most minimal generators.  The recursion
+runs on plain generator tuples and builds no ``MonomialIdeal``.  Series are
 reported as an integer numerator over (1-z)^e in lowest terms.
 """
 
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
 from typing import Callable, Iterable
 
 from .groebner import Budget, Ideal
 from .orders import OrderSpec, canonical_order
-from .rings import Exponents, Polynomial, RingError, RingSpec, mono_divides
+from .rings import Exponents, Polynomial, RingSpec, _checked, mono_divides
 
 
 def _canonical(e: Exponents) -> tuple[int, Exponents]:
@@ -43,15 +43,6 @@ def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
         if all(not mono_divides(g, m) for g in minimal):
             minimal.append(m)
     return tuple(minimal)
-
-
-def _checked(ring: RingSpec, exps: Exponents) -> Exponents:
-    """``exps`` as a tuple; RingError unless it is an exponent vector of ``ring``."""
-    if len(exps) != ring.nvars:
-        raise RingError("exponent vector length does not match ring")
-    if min(exps, default=0) < 0:
-        raise RingError("negative exponent")
-    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -91,34 +82,6 @@ def x_condition(ideal: MonomialIdeal) -> bool:
     """Every minimal generator has degree at most 1 in each x variable."""
     idxs = ideal.ring.block_indices("X")
     return all(all(g[i] <= 1 for i in idxs) for g in ideal.gens)
-
-
-def colon_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
-    """M : p, computed generator-wise as m / gcd(m, p).
-
-    Only the generators that share a variable with p are lowered.  No other
-    generator divides a lowered one, as it would divide its original too, so
-    of the others only those that a lowered one divides are dropped.  When p
-    is one variable, m/p | m'/p means m | m', so the lowered generators stay
-    minimal among themselves.
-    """
-    p = _checked(ideal.ring, p)
-    lowered: list[Exponents] = []
-    others: list[Exponents] = []
-    for g in ideal.gens:
-        common = tuple(map(min, g, p))  # gcd(g, p)
-        if any(common):
-            lowered.append(tuple(map(sub, g, common)))
-        else:
-            others.append(g)
-    if sum(p) > 1:
-        lowered = list(_minimalize(lowered))
-    kept = [g for g in others if not any(mono_divides(m, g) for m in lowered)]
-    return MonomialIdeal(ideal.ring, tuple(sorted(lowered + kept, key=_canonical)))
-
-
-def sum_mono(ideal: MonomialIdeal, p: Exponents) -> MonomialIdeal:
-    return MonomialIdeal(ideal.ring, _minimalize(ideal.gens + (_checked(ideal.ring, p),)))
 
 
 # -- Hilbert series --
@@ -192,11 +155,11 @@ def _times(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _classes(ideal: MonomialIdeal) -> list[MonomialIdeal]:
-    """The minimal generators grouped into classes that share no variable,
-    each class in the ideal's generator order."""
+def _classes(gens: tuple[Exponents, ...]) -> list[tuple[Exponents, ...]]:
+    """The generators grouped into classes that share no variable, each class
+    in the order of ``gens``."""
     classes: list[tuple[set[int], list[int]]] = []  # (variables, generator positions)
-    for k, g in enumerate(ideal.gens):
+    for k, g in enumerate(gens):
         support = {i for i, e in enumerate(g) if e}
         members = [k]
         apart = []
@@ -207,24 +170,38 @@ def _classes(ideal: MonomialIdeal) -> list[MonomialIdeal]:
             else:
                 apart.append((variables, positions))
         classes = apart + [(support, members)]
-    return [MonomialIdeal(ideal.ring, tuple(ideal.gens[k] for k in sorted(ks))) for _, ks in classes]
+    return [tuple(gens[k] for k in sorted(ks)) for _, ks in classes]
 
 
-def _numerator(ideal: MonomialIdeal, pivot: PivotChooser, memo: dict, budget: Budget) -> list[int]:
-    """K-polynomial of T/M: HS = K / (1-z)^nvars."""
+def _split(gens: tuple[Exponents, ...], i: int) -> tuple[tuple[Exponents, ...], tuple[Exponents, ...]]:
+    """M + (x_i) and M : x_i for the generators of M, each sorted by
+    ``_canonical``.
+
+    M + (x_i) is x_i and the generators it does not divide.  For M : x_i the
+    generators that x_i divides are lowered by x_i; m/x_i | m'/x_i means
+    m | m', so they stay minimal among themselves.  No other generator divides
+    a lowered one, as it would divide its original too, so of the others only
+    those that a lowered one divides are dropped.
+    """
+    x = tuple(int(v == i) for v in range(len(gens[0])))
+    lowered = [g[:i] + (g[i] - 1,) + g[i + 1 :] for g in gens if g[i]]
+    others = [g for g in gens if not g[i]]
+    kept = [g for g in others if not any(mono_divides(m, g) for m in lowered)]
+    return tuple(sorted(others + [x], key=_canonical)), tuple(sorted(lowered + kept, key=_canonical))
+
+
+def _numerator(gens: tuple[Exponents, ...], pivot: PivotChooser, memo: dict, budget: Budget) -> list[int]:
+    """K-polynomial of T/M for the generators of M: HS = K / (1-z)^nvars."""
     budget.check_deadline()
     out = [1]
-    for part in _classes(ideal):
-        gens = part.gens
-        if len(gens) == 1:
-            k = _add_shifted([1], [-1], sum(gens[0]))  # 1 - z^d
+    for part in _classes(gens):
+        if len(part) == 1:
+            k = _add_shifted([1], [-1], sum(part[0]))  # 1 - z^d
         else:
-            k = memo.get(gens)
+            k = memo.get(part)
             if k is None:
-                i = pivot(gens)
-                p = tuple(1 if v == i else 0 for v in range(ideal.ring.nvars))
-                plus = _numerator(sum_mono(part, p), pivot, memo, budget)
-                k = memo[gens] = _add_shifted(plus, _numerator(colon_mono(part, p), pivot, memo, budget), 1)
+                plus, colon = (_numerator(m, pivot, memo, budget) for m in _split(part, pivot(part)))
+                k = memo[part] = _add_shifted(plus, colon, 1)
         out = _times(out, k)
     return out
 
@@ -237,5 +214,5 @@ def hilbert_numerator(
     The budget's deadline is checked once per recursion node; no step is
     counted.
     """
-    num = _numerator(ideal, pivot, {}, budget or Budget())
+    num = _numerator(ideal.gens, pivot, {}, budget or Budget())
     return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()

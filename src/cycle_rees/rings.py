@@ -36,11 +36,11 @@ class RingSpec:
     blocks: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for _, names in self.blocks:
+        for kind, names in (("block", self.block_names), ("variable", self.variables)):
+            seen: set[str] = set()
             for name in names:
                 if name in seen:
-                    raise RingError(f"duplicate variable {name!r}")
+                    raise RingError(f"duplicate {kind} {name!r}")
                 seen.add(name)
 
     @cached_property
@@ -125,16 +125,23 @@ def mono_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
+def _checked(ring: RingSpec, exps: Exponents) -> Exponents:
+    """``exps`` as a tuple; RingError unless it is an exponent vector of ``ring``."""
+    if len(exps) != ring.nvars:
+        raise RingError("exponent vector length does not match ring")
+    if min(exps, default=0) < 0:
+        raise RingError("negative exponent")
+    return tuple(exps)
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: RingSpec, terms: Mapping[Exponents, int | Fraction]):
-        if any(len(exps) != ring.nvars for exps in terms):
-            raise RingError("exponent vector length does not match ring")
-        if any(min(exps, default=0) < 0 for exps in terms):
-            raise RingError("negative exponent")
+        for exps in terms:
+            _checked(ring, exps)
         self.ring = ring
         # one form per value: an integral coefficient is kept as an int
         self._terms = {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}

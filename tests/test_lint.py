@@ -1,6 +1,6 @@
 """Static checks on the package source, read with ``ast``: no unused imports,
-no unused private names, and ``__all__`` names exactly the package's public
-bindings."""
+no unused private names, ``__all__`` names exactly the package's public
+bindings, and each public name has a caller in the package."""
 
 from __future__ import annotations
 
@@ -81,16 +81,23 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Each name a module reads, bare or as an attribute."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
 def test_no_unused_private_names():
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     used: set[str] = set()
     for tree in trees.values():
         used.update(imported_names(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+        used.update(loaded_names(tree))
     unused = {
         f"{name}:{line}": private
         for name, tree in trees.items()
@@ -98,6 +105,25 @@ def test_no_unused_private_names():
         if private not in used
     }
     assert not unused, f"private names defined but never referenced: {unused}"
+
+
+# Public names with no caller in the package, each with the reason it stays.
+UNCALLED_PUBLIC = {
+    "conjecture_fiber_iff_divides": "states the paper's conjecture",
+    "fiber_ideal_closed_form": "states the paper's theorem on the fiber ideal",
+    "parse_polynomial": "the inverse of Polynomial.to_text",
+}
+
+
+def test_public_names_have_a_package_caller():
+    """A public name that only tests call is a test-only route in the API."""
+    loaded: set[str] = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            loaded.update(loaded_names(ast.parse(path.read_text())))
+    uncalled = set(cycle_rees.__all__) - loaded
+    assert uncalled <= set(UNCALLED_PUBLIC), f"public names no package code calls: {uncalled - set(UNCALLED_PUBLIC)}"
+    assert uncalled == set(UNCALLED_PUBLIC), f"allowed names that now have a caller: {set(UNCALLED_PUBLIC) - uncalled}"
 
 
 def calls_of(node: ast.AST, name: str) -> list[ast.Call]:

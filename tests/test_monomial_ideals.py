@@ -1,4 +1,4 @@
-"""Initial ideals, squarefreeness, x-condition, colon/sum, Hilbert series."""
+"""Initial ideals, squarefreeness, x-condition, the pivot split, Hilbert series."""
 
 from __future__ import annotations
 
@@ -7,17 +7,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cycle_rees.classify import hilbert_closed_form_n_minus_2
 from cycle_rees.groebner import Budget, BudgetExceeded
 from cycle_rees.monomial_ideals import (
     HilbertSeries,
     MonomialIdeal,
     _numerator,
-    colon_mono,
+    _split,
     hilbert_numerator,
     initial_ideal,
     is_squarefree,
     pivot_most_frequent,
-    sum_mono,
     x_condition,
 )
 from cycle_rees.orders import OrderSpec, product_order
@@ -70,15 +70,6 @@ def test_x_condition_cases(rees_cache):
     assert x_condition(initial_ideal(J, product_order(J.ring)))
 
 
-def test_colon_and_sum():
-    ring = cycle_ring(4)
-    M = mono_ideal(ring, "x1*y1")
-    (y1,) = monos(ring, "y1")
-    assert colon_mono(M, y1) == mono_ideal(ring, "x1")
-    one = ring.one_exps()
-    assert sum_mono(M, one) == MonomialIdeal(ring, (one,))
-
-
 def test_exponent_vectors_are_checked():
     ring = RingSpec((("X", ("a", "b")),))
     with pytest.raises(RingError, match="negative exponent"):
@@ -93,24 +84,6 @@ def test_exponent_vectors_are_checked():
     # read pairwise, (1, 0) would divide the short (1,) and drop it unchecked
     with pytest.raises(RingError, match="length"):
         MonomialIdeal.from_exponents(ring, [(1, 0), (1,)])
-    M = MonomialIdeal.from_exponents(ring, [(1, 1)])
-    for p in [(0, -2), (-1, 0)]:
-        with pytest.raises(RingError, match="negative exponent"):
-            sum_mono(M, p)
-        with pytest.raises(RingError, match="negative exponent"):
-            colon_mono(M, p)
-    for p in [(0, 1, 5), (1,)]:
-        with pytest.raises(RingError, match="length"):
-            sum_mono(M, p)
-        with pytest.raises(RingError, match="length"):
-            colon_mono(M, p)
-
-
-def test_colon_k5(rees_cache):
-    J = rees_cache(5, 3)
-    K5 = initial_ideal(J, product_order(J.ring))
-    (p,) = monos(J.ring, "y1*y3")
-    assert colon_mono(K5, p) == mono_ideal(J.ring, "x4", "x0", "x1", "x2")
 
 
 def test_colon_sum_laws():
@@ -122,20 +95,19 @@ def test_colon_sum_laws():
         if not gens:
             continue
         M = MonomialIdeal.from_exponents(ring, gens)
-        # one variable, as the Hilbert recursion divides by, or any monomial
-        v = rng.randrange(4)
-        p = tuple(int(i == v) for i in range(4)) if rng.random() < 0.5 else tuple(rng.randint(0, 2) for _ in range(4))
-        colon = colon_mono(M, p)
-        # the definition, re-minimalised in full
-        assert colon == MonomialIdeal.from_exponents(ring, [tuple(max(e - q, 0) for e, q in zip(g, p)) for g in M.gens])
-        for q in colon.gens:
-            assert any(mono_divides(g, tuple(a + b for a, b in zip(q, p))) for g in M.gens)
-        S = sum_mono(M, p)
+        i = rng.randrange(4)
+        x = tuple(int(v == i) for v in range(4))
+        S, colon = _split(M.gens, i)
+        # the definitions, re-minimalised in full
+        assert S == MonomialIdeal.from_exponents(ring, M.gens + (x,)).gens
+        assert colon == MonomialIdeal.from_exponents(ring, [tuple(max(e - q, 0) for e, q in zip(g, x)) for g in M.gens]).gens
+        for q in colon:
+            assert any(mono_divides(g, tuple(a + b for a, b in zip(q, x))) for g in M.gens)
         for g in M.gens:
-            assert any(mono_divides(o, g) for o in S.gens)
-        for ideal in (M, colon, S):
-            for g in ideal.gens:
-                assert not any(mono_divides(o, g) for o in ideal.gens if o != g)
+            assert any(mono_divides(o, g) for o in S)
+        for gens in (M.gens, colon, S):
+            for g in gens:
+                assert not any(mono_divides(o, g) for o in gens if o != g)
 
 
 def test_hilbert_base_cases():
@@ -170,6 +142,20 @@ def test_hilbert_inclusion_exclusion_oracle():
         assert hilbert_numerator(M) == hilbert_by_inclusion_exclusion(M)
 
 
+def test_hilbert_of_unminimalised_generators():
+    """A MonomialIdeal built directly may hold non-minimal, unsorted or
+    repeated generators; its series is that of the ideal they generate."""
+    rng = random.Random(29)
+    ring = RingSpec((("X", ("a", "b", "c", "d")),))
+    for _ in range(200):
+        gens = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(1, 5))]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # repeats
+        gens += [tuple(e + rng.randint(0, 1) for e in g) for g in rng.sample(gens, min(2, len(gens)))]  # multiples
+        rng.shuffle(gens)
+        M = MonomialIdeal(ring, tuple(gens))
+        assert hilbert_numerator(M) == hilbert_by_inclusion_exclusion(MonomialIdeal.from_exponents(ring, gens))
+
+
 def test_hilbert_split_law():
     """K(M1 + M2) = K(M1) * K(M2) for ideals in disjoint variables: the
     numerators multiply and the denominator powers add."""
@@ -198,8 +184,19 @@ def test_hilbert_recursion_memo_size(rees_cache):
     without it the pivot recursion memoised 340 ideals."""
     J = rees_cache(10, 8)
     memo: dict = {}
-    _numerator(initial_ideal(J, product_order(J.ring)), pivot_most_frequent, memo, Budget())
+    _numerator(initial_ideal(J, product_order(J.ring)).gens, pivot_most_frequent, memo, Budget())
     assert len(memo) == 4
+
+
+def test_hilbert_recursion_builds_no_monomial_ideal(rees_cache, monkeypatch):
+    """The recursion runs on generator tuples: the ideal is checked once, when
+    it is built, and no node builds or checks another."""
+    J = rees_cache(8, 6)
+    K = initial_ideal(J, product_order(J.ring))
+    built = []
+    monkeypatch.setattr(MonomialIdeal, "__post_init__", lambda self: built.append(self))
+    assert hilbert_numerator(K) == hilbert_closed_form_n_minus_2(8)
+    assert built == []
 
 
 def test_hilbert_checks_the_deadline_and_counts_no_step(rees_cache):

@@ -52,6 +52,9 @@ def test_display_order_puts_x_y_first_then_declared_blocks():
 def test_duplicate_variables_rejected():
     with pytest.raises(RingError):
         RingSpec((("A", ("u", "v")), ("B", ("v",))))
+    # a repeated block name would give two variables one order key
+    with pytest.raises(RingError, match="duplicate block 'X'"):
+        RingSpec((("X", ("a",)), ("X", ("b",))))
 
 
 def test_restrict_reads_each_block_name_once():
