@@ -183,7 +183,7 @@ def hilbert_closed_form_n_minus_2(n: int) -> HilbertSeries:
         for j in range(power + 1):
             num[s - 1 - k + j] += comb(power, j)
     num[s] += n % 2
-    return HilbertSeries(tuple(num), n + 1).canonical()
+    return HilbertSeries(tuple(num), n + 1)
 
 
 def verify_hilbert(n: int, budget: Budget | None = None) -> bool:

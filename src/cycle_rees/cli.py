@@ -26,8 +26,8 @@ from .classify import (
     verify_hilbert,
 )
 from .groebner import Budget, BudgetExceeded, gb_certificate, is_groebner_basis
-from .monomial_ideals import MonomialIdeal, is_squarefree, x_condition
-from .orders import leading_term, product_order
+from .monomial_ideals import initial_ideal, is_squarefree, x_condition
+from .orders import product_order
 from .rees import (
     PathIdealSpec,
     family_half,
@@ -170,7 +170,7 @@ def _cmd_verify_gb(args) -> _Result:
     polys = list(fam.values())
     order = product_order(polys[0].ring)
     ok, cert = is_groebner_basis(polys, order, Budget(seconds=_budget_secs(args)))
-    ini = MonomialIdeal.from_exponents(polys[0].ring, [leading_term(order, g)[0] for g in polys])
+    ini = initial_ideal(polys, order)
     squarefree = is_squarefree(ini)
     xcond = x_condition(ini)
     payload = {

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .groebner import Budget, Ideal
 from .orders import OrderSpec, canonical_order
-from .rings import Exponents, Polynomial, RingSpec, _checked, mono_divides
+from .rings import Exponents, Polynomial, RingError, RingSpec, _checked, mono_divides
 
 
 def _canonical(e: Exponents) -> tuple[int, Exponents]:
@@ -35,43 +35,47 @@ def _canonical(e: Exponents) -> tuple[int, Exponents]:
     return sum(e), e
 
 
-def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
-    """Drop generators divisible by another; deterministic output order."""
-    unique = sorted(set(gens), key=_canonical)
-    minimal: list[Exponents] = []
-    for m in unique:
-        if all(not mono_divides(g, m) for g in minimal):
-            minimal.append(m)
-    return tuple(minimal)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal stored by its unique minimal generators."""
+    """A monomial ideal, given by any iterable of generators.  It stores its
+    unique minimal generators by degree, then exponents, so equal ideals
+    compare equal."""
 
     ring: RingSpec
     gens: tuple[Exponents, ...]
 
     def __post_init__(self) -> None:
-        for g in self.gens:
-            _checked(self.ring, g)
-
-    @classmethod
-    def from_exponents(cls, ring: RingSpec, gens: Iterable[Exponents]) -> "MonomialIdeal":
-        # check all: minimalizing could drop too short a vector unchecked
-        return cls(ring, _minimalize([_checked(ring, g) for g in gens]))
+        # check all first: minimalizing could drop too short a vector unchecked
+        minimal: list[Exponents] = []
+        for m in sorted({_checked(self.ring, g) for g in self.gens}, key=_canonical):
+            if all(not mono_divides(g, m) for g in minimal):
+                minimal.append(m)
+        object.__setattr__(self, "gens", tuple(minimal))
 
     def is_zero(self) -> bool:
         return not self.gens
 
 
-def initial_ideal(ideal: Ideal, order: OrderSpec | None = None, budget: Budget | None = None) -> MonomialIdeal:
-    """Minimal generators of the ideal of leading monomials of the reduced basis."""
-    order = order or canonical_order(ideal.ring)
-    gb = ideal.groebner_basis(order, budget)
-    key = order.key_function(ideal.ring)
-    leads = [max(g.monomials(), key=key) for g in gb]
-    return MonomialIdeal.from_exponents(ideal.ring, leads)
+def initial_ideal(
+    polys: Ideal | Sequence[Polynomial], order: OrderSpec | None = None, budget: Budget | None = None
+) -> MonomialIdeal:
+    """The ideal of the leading monomials of polys under order.
+
+    An Ideal stands for its reduced basis under order, which gives in(I); a
+    sequence is read as given.  An empty sequence, a zero polynomial or
+    polynomials of different rings raise RingError.
+    """
+    if isinstance(polys, Ideal):
+        ring = polys.ring
+        order = order or canonical_order(ring)
+        polys = polys.groebner_basis(order, budget)
+    elif not polys or any(p.is_zero() or p.ring != polys[0].ring for p in polys):
+        raise RingError("leading monomials need nonzero polynomials of one ring")
+    else:
+        ring = polys[0].ring
+        order = order or canonical_order(ring)
+    key = order.key_function(ring)
+    return MonomialIdeal(ring, [max(p.monomials(), key=key) for p in polys])
 
 
 def is_squarefree(ideal: MonomialIdeal) -> bool:
@@ -91,26 +95,26 @@ _Z = RingSpec((("Z", ("z",)),))
 
 @dataclass(frozen=True)
 class HilbertSeries:
-    """numerator(z) / (1-z)^denom_power with integer coefficients."""
+    """numerator(z) / (1-z)^denom_power with integer coefficients, stored in
+    lowest terms (zero is ((), 0)), so equal series compare equal."""
 
     numerator: tuple[int, ...]
     denom_power: int
 
-    def canonical(self) -> "HilbertSeries":
+    def __post_init__(self) -> None:
         num = list(self.numerator)
         while num and num[-1] == 0:
             num.pop()
-        if not num:
-            return HilbertSeries((), 0)
-        e = self.denom_power
+        e = self.denom_power if num else 0
         while e > 0 and sum(num) == 0:
             # num / (1-z): the partial sums of num, the last (zero) one dropped
             num = list(accumulate(num))[:-1]
             e -= 1
-        return HilbertSeries(tuple(num), e)
+        object.__setattr__(self, "numerator", tuple(num))
+        object.__setattr__(self, "denom_power", e)
 
     def is_palindromic(self) -> bool:
-        return list(self.numerator) == list(reversed(self.numerator))
+        return self.numerator == self.numerator[::-1]
 
     def to_json(self) -> dict[str, object]:
         return {"numerator": list(self.numerator), "denom_power": self.denom_power}
@@ -209,10 +213,10 @@ def _numerator(gens: tuple[Exponents, ...], pivot: PivotChooser, memo: dict, bud
 def hilbert_numerator(
     ideal: MonomialIdeal, pivot: PivotChooser = pivot_most_frequent, budget: Budget | None = None
 ) -> HilbertSeries:
-    """Exact Hilbert series of T/M under the standard grading, canonical form.
+    """Exact Hilbert series of T/M under the standard grading.
 
     The budget's deadline is checked once per recursion node; no step is
     counted.
     """
     num = _numerator(ideal.gens, pivot, {}, budget or Budget())
-    return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()
+    return HilbertSeries(tuple(num), ideal.ring.nvars)

@@ -109,15 +109,6 @@ def _compile_key(order: OrderSpec, ring: RingSpec) -> KeyFunction:
     return key
 
 
-def leading_term(order: OrderSpec, p) -> tuple[Exponents, "object"]:
-    """Maximal (monomial, coefficient) of a nonzero polynomial under order."""
-    if p.is_zero():
-        raise RingError("zero polynomial has no leading term")
-    key = order.key_function(p.ring)
-    exps = max(p.monomials(), key=key)
-    return exps, p.coefficient(exps)
-
-
 def product_order(ring: RingSpec) -> OrderSpec:
     """The product order on a ring with X and Y blocks (no elimination)."""
     if set(ring.block_names) - {"Y", "X"}:

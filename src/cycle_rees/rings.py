@@ -180,9 +180,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, exps: Exponents) -> int | Fraction:
-        return self._terms.get(exps, 0)
-
     def monomials(self) -> list[Exponents]:
         return list(self._terms)
 

@@ -12,7 +12,7 @@ from math import gcd
 
 from cycle_rees.groebner import normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
-from cycle_rees.orders import KeyFunction, OrderSpec, leading_term
+from cycle_rees.orders import KeyFunction, OrderSpec
 from cycle_rees.rees import PathIdealSpec, PolyMatrix
 from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_divides, mono_mul
 
@@ -89,14 +89,19 @@ def is_groebner_basis_all_pairs(polys: list[Polynomial], order: OrderSpec) -> bo
     reduces to zero against them."""
     polys = [g for g in polys if not g.is_zero()]
 
+    def leading_term(g: Polynomial) -> tuple[Exponents, int | Fraction]:
+        """The maximal monomial of g under order and its coefficient."""
+        lead = max(g.monomials(), key=order.key_function(g.ring))
+        return lead, g.terms[lead]
+
     def monic_multiple(g: Polynomial, lcm: Exponents) -> Polynomial:
         """(lcm / lead(g)) g / lc(g), whose leading term is lcm."""
-        lead, coeff = leading_term(order, g)
+        lead, coeff = leading_term(g)
         return g * Polynomial.monomial(g.ring, mono_div(lcm, lead), Fraction(1) / coeff)
 
     for i, f in enumerate(polys):
         for g in polys[i + 1 :]:
-            lcm = mono_lcm(leading_term(order, f)[0], leading_term(order, g)[0])
+            lcm = mono_lcm(leading_term(f)[0], leading_term(g)[0])
             if not normal_form(monic_multiple(f, lcm) - monic_multiple(g, lcm), polys, order).is_zero():
                 return False
     return True
@@ -196,7 +201,7 @@ def hilbert_by_inclusion_exclusion(ideal: MonomialIdeal) -> HilbertSeries:
                 bits += 1
                 lcm = tuple(max(a, b) for a, b in zip(lcm, gens[i]))
         num[sum(lcm)] += -1 if bits % 2 else 1
-    return HilbertSeries(tuple(num), ideal.ring.nvars).canonical()
+    return HilbertSeries(tuple(num), ideal.ring.nvars)
 
 
 # -- determinant, for Pf(A)^2 = det(A) --

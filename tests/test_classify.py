@@ -19,7 +19,7 @@ from cycle_rees.classify import (
     verify_hilbert,
 )
 from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, normal_form
-from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal, hilbert_numerator
+from cycle_rees.monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from cycle_rees.orders import product_order
 from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, family_n_minus_2, rees_ideal
 from cycle_rees.rings import parse_polynomial
@@ -151,9 +151,7 @@ def test_family_leads_have_the_closed_form_series(n):
     span an ideal with the closed-form series: the Hilbert half of certifying
     that family, for rows far beyond those whose Rees ideal is computed."""
     fam = list(family_n_minus_2(n).values())
-    ring = fam[0].ring
-    key = product_order(ring).key_function(ring)
-    leads = MonomialIdeal.from_exponents(ring, [max(g.monomials(), key=key) for g in fam])
+    leads = initial_ideal(fam, product_order(fam[0].ring))
     assert hilbert_numerator(leads) == hilbert_closed_form_n_minus_2(n)
 
 

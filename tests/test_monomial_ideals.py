@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycle_rees.classify import hilbert_closed_form_n_minus_2
-from cycle_rees.groebner import Budget, BudgetExceeded
+from cycle_rees.groebner import Budget, BudgetExceeded, Ideal
 from cycle_rees.monomial_ideals import (
     HilbertSeries,
     MonomialIdeal,
@@ -31,7 +31,7 @@ def monos(ring, *texts):
 
 
 def mono_ideal(ring, *texts) -> MonomialIdeal:
-    return MonomialIdeal.from_exponents(ring, monos(ring, *texts))
+    return MonomialIdeal(ring, monos(ring, *texts))
 
 
 def test_initial_ideal_n4(rees_cache):
@@ -51,11 +51,29 @@ def test_initial_ideal_n5(rees_cache):
 
 
 def test_initial_ideal_zero():
-    from cycle_rees.groebner import Ideal
-
     ring = cycle_ring(4)
     K = initial_ideal(Ideal(ring, []), product_order(ring))
     assert K.is_zero()
+
+
+def test_initial_ideal_of_a_sequence_reads_it_as_given(rees_cache):
+    J = rees_cache(5, 3)
+    order = product_order(J.ring)
+    assert initial_ideal(J.groebner_basis(order), order) == initial_ideal(J, order)
+    # a^2 - b, a*b - 1 is no basis: a*(a*b - 1) - b*(a^2 - b) = b^2 - a
+    ring = RingSpec((("X", ("a", "b")),))
+    polys = [parse_polynomial(ring, "a^2 - b"), parse_polynomial(ring, "a*b - 1")]
+    assert initial_ideal(polys) == mono_ideal(ring, "a^2", "a*b")
+    assert initial_ideal(Ideal(ring, polys)) == mono_ideal(ring, "a", "b^3")
+
+
+def test_initial_ideal_of_a_bad_sequence_raises():
+    # a zero polynomial: tests/test_orders.py::test_leading_terms_of_family_members
+    ring = cycle_ring(4)
+    with pytest.raises(RingError):
+        initial_ideal([], product_order(ring))
+    with pytest.raises(RingError):
+        initial_ideal([parse_polynomial(ring, "x1"), parse_polynomial(cycle_ring(5), "x1")], product_order(ring))
 
 
 def test_squarefree_negative():
@@ -73,17 +91,34 @@ def test_x_condition_cases(rees_cache):
 def test_exponent_vectors_are_checked():
     ring = RingSpec((("X", ("a", "b")),))
     with pytest.raises(RingError, match="negative exponent"):
-        MonomialIdeal.from_exponents(ring, [(-1, 2)])
-    # the generators given directly are checked too, not only by from_exponents
+        MonomialIdeal(ring, [(-1, 2)])
     with pytest.raises(RingError, match="negative exponent"):
         MonomialIdeal(ring, ((1, 0), (0, -1)))
     with pytest.raises(RingError, match="length"):
         MonomialIdeal(ring, ((1, 0, 0),))
     with pytest.raises(RingError, match="negative exponent"):
-        hilbert_numerator(MonomialIdeal(x_ring(3), ((-1, 0, 0), (1, 2))))
+        MonomialIdeal(x_ring(3), ((-1, 0, 0), (1, 2)))
     # read pairwise, (1, 0) would divide the short (1,) and drop it unchecked
     with pytest.raises(RingError, match="length"):
-        MonomialIdeal.from_exponents(ring, [(1, 0), (1,)])
+        MonomialIdeal(ring, [(1, 0), (1,)])
+
+
+def test_monomial_ideal_stores_its_minimal_generators():
+    """Equality and the predicates read the ideal, not the generators given."""
+    ring = RingSpec((("X", ("a", "b")),))
+    M = MonomialIdeal(ring, ((2, 1), (1, 0)))
+    assert M == MonomialIdeal(ring, ((1, 0),))
+    assert M.gens == ((1, 0),)
+    assert is_squarefree(M)
+    assert x_condition(M)
+    assert MonomialIdeal(ring, ((0, 1), (1, 0), (0, 1))) == MonomialIdeal(ring, ((1, 0), (0, 1)))
+
+
+def test_monomial_ideal_from_a_list_is_hashable():
+    ring = RingSpec((("X", ("a", "b")),))
+    M = MonomialIdeal(ring, [(1, 1), (2, 0)])
+    assert M.gens == ((1, 1), (2, 0))
+    assert {M: 1}[MonomialIdeal(ring, ((2, 0), (1, 1)))] == 1
 
 
 def test_colon_sum_laws():
@@ -94,13 +129,13 @@ def test_colon_sum_laws():
         gens = [g for g in gens if any(g)]
         if not gens:
             continue
-        M = MonomialIdeal.from_exponents(ring, gens)
+        M = MonomialIdeal(ring, gens)
         i = rng.randrange(4)
         x = tuple(int(v == i) for v in range(4))
         S, colon = _split(M.gens, i)
         # the definitions, re-minimalised in full
-        assert S == MonomialIdeal.from_exponents(ring, M.gens + (x,)).gens
-        assert colon == MonomialIdeal.from_exponents(ring, [tuple(max(e - q, 0) for e, q in zip(g, x)) for g in M.gens]).gens
+        assert S == MonomialIdeal(ring, M.gens + (x,)).gens
+        assert colon == MonomialIdeal(ring, [tuple(max(e - q, 0) for e, q in zip(g, x)) for g in M.gens]).gens
         for q in colon:
             assert any(mono_divides(g, tuple(a + b for a, b in zip(q, x))) for g in M.gens)
         for g in M.gens:
@@ -112,9 +147,9 @@ def test_colon_sum_laws():
 
 def test_hilbert_base_cases():
     ring3 = RingSpec((("X", ("a", "b", "c")),))
-    assert hilbert_numerator(MonomialIdeal.from_exponents(ring3, [])) == HilbertSeries((1,), 3)
+    assert hilbert_numerator(MonomialIdeal(ring3, [])) == HilbertSeries((1,), 3)
     ring2 = RingSpec((("X", ("a", "b")),))
-    M = MonomialIdeal.from_exponents(ring2, [(1, 1)])
+    M = MonomialIdeal(ring2, [(1, 1)])
     assert hilbert_numerator(M) == HilbertSeries((1, 1), 1)
 
 
@@ -138,13 +173,13 @@ def test_hilbert_inclusion_exclusion_oracle():
         gens = [g for g in gens if any(g)]
         if not gens:
             continue
-        M = MonomialIdeal.from_exponents(ring, gens)
+        M = MonomialIdeal(ring, gens)
         assert hilbert_numerator(M) == hilbert_by_inclusion_exclusion(M)
 
 
 def test_hilbert_of_unminimalised_generators():
-    """A MonomialIdeal built directly may hold non-minimal, unsorted or
-    repeated generators; its series is that of the ideal they generate."""
+    """A MonomialIdeal built from non-minimal, unsorted or repeated generators
+    stores the minimal ones; its series is that of the ideal they generate."""
     rng = random.Random(29)
     ring = RingSpec((("X", ("a", "b", "c", "d")),))
     for _ in range(200):
@@ -152,8 +187,9 @@ def test_hilbert_of_unminimalised_generators():
         gens += rng.sample(gens, rng.randint(0, len(gens)))  # repeats
         gens += [tuple(e + rng.randint(0, 1) for e in g) for g in rng.sample(gens, min(2, len(gens)))]  # multiples
         rng.shuffle(gens)
-        M = MonomialIdeal(ring, tuple(gens))
-        assert hilbert_numerator(M) == hilbert_by_inclusion_exclusion(MonomialIdeal.from_exponents(ring, gens))
+        M = MonomialIdeal(ring, gens)
+        assert set(M.gens) == {g for g in gens if not any(h != g and mono_divides(h, g) for h in gens)}
+        assert hilbert_numerator(M) == hilbert_by_inclusion_exclusion(M)
 
 
 def test_hilbert_split_law():
@@ -166,9 +202,9 @@ def test_hilbert_split_law():
     for _ in range(100):
         g1 = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(0, 4))]
         g2 = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(0, 4))]
-        M1 = MonomialIdeal.from_exponents(first, [g for g in g1 if any(g)])
-        M2 = MonomialIdeal.from_exponents(second, [g for g in g2 if any(g)])
-        M = MonomialIdeal.from_exponents(both, [g + (0, 0, 0) for g in M1.gens] + [(0, 0, 0) + g for g in M2.gens])
+        M1 = MonomialIdeal(first, [g for g in g1 if any(g)])
+        M2 = MonomialIdeal(second, [g for g in g2 if any(g)])
+        M = MonomialIdeal(both, [g + (0, 0, 0) for g in M1.gens] + [(0, 0, 0) + g for g in M2.gens])
         s1, s2, s = hilbert_numerator(M1), hilbert_numerator(M2), hilbert_numerator(M)
         product = [0] * (len(s1.numerator) + len(s2.numerator) - 1)
         for i, a in enumerate(s1.numerator):
@@ -220,15 +256,23 @@ def test_series_equal_across_orders(rees_cache):
 
 
 def test_series_canonical_form_strips_common_factors():
-    s = HilbertSeries((1, 0, -1), 2).canonical()  # (1-z^2)/(1-z)^2 = (1+z)/(1-z)
-    assert s == HilbertSeries((1, 1), 1)
-    assert HilbertSeries((0,), 4).canonical() == HilbertSeries((), 0)
+    s = HilbertSeries((1, 0, -1), 2)  # (1-z^2)/(1-z)^2 = (1+z)/(1-z)
+    assert (s.numerator, s.denom_power) == ((1, 1), 1)
+    zero = HilbertSeries((0,), 4)
+    assert (zero.numerator, zero.denom_power) == ((), 0)
 
 
-def power_series(series: HilbertSeries, degree: int) -> list[int]:
+def test_series_equality_reads_the_series():
+    """Equal series compare equal however they were written down."""
+    assert HilbertSeries((1, -1), 1) == HilbertSeries((1,), 0)
+    assert HilbertSeries((1, 0), 2).is_palindromic()
+    assert HilbertSeries((1, 0, -1), 2).is_palindromic()  # (1 + z)(1-z) / (1-z)^2
+
+
+def power_series(numerator: tuple[int, ...], denom_power: int, degree: int) -> list[int]:
     """Coefficients of z^0..z^degree of numerator / (1-z)^denom_power."""
-    coeffs = (list(series.numerator) + [0] * (degree + 1))[: degree + 1]
-    for _ in range(series.denom_power):
+    coeffs = (list(numerator) + [0] * (degree + 1))[: degree + 1]
+    for _ in range(denom_power):
         for k in range(1, degree + 1):
             coeffs[k] += coeffs[k - 1]
     return coeffs
@@ -240,10 +284,10 @@ def test_canonical_keeps_the_series_and_is_lowest_terms(num, e, data):
         # times (1-z)^k, so there is a common factor to strip
         for _ in range(data.draw(st.integers(0, e))):
             num = [a - b for a, b in zip(num + [0], [0] + num)]
-    s = HilbertSeries(tuple(num), e)
-    c = s.canonical()
-    assert c.canonical() == c
-    assert power_series(c, 12) == power_series(s, 12)
+    c = HilbertSeries(tuple(num), e)
+    assert HilbertSeries(c.numerator, c.denom_power) == c
+    assert power_series(c.numerator, c.denom_power, 12) == power_series(tuple(num), e, 12)
+    assert not c.numerator or c.numerator[-1] != 0
     if c.denom_power > 0:
         assert sum(c.numerator) != 0
 
@@ -262,6 +306,8 @@ def test_canonical_keeps_the_series_and_is_lowest_terms(num, e, data):
         ((), 3, "0"),
         ((0,), 0, "0"),
         ((0, 0), 2, "0"),
+        ((1, 0, -1, 0), 2, "(1 + z) / (1-z)^1"),
+        ((1, -1), 1, "1"),
     ],
 )
 def test_series_text(numerator, denom_power, text):

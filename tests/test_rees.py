@@ -159,10 +159,7 @@ def test_families_are_groebner_bases_with_witnesses():
         order = product_order(ring)
         ok, _ = is_groebner_basis(polys, order)
         assert ok, n
-        key = order.key_function(ring)
-        from cycle_rees.monomial_ideals import MonomialIdeal
-
-        ini = MonomialIdeal.from_exponents(ring, [max(p.monomials(), key=key) for p in polys])
+        ini = initial_ideal(polys, order)
         assert is_squarefree(ini)
         assert x_condition(ini)
     for n in (4, 6, 8):
