@@ -208,25 +208,25 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     if len(pure_powers) < ring.nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
 
-    # one walk from 1 up: x_i * b, for each standard b as the list grows, is
-    # standard exactly when it is its own normal form; modulo pure-difference
-    # binomials and monomials, each normal form is 0 or one monomial with coefficient 1
+    # one walk from 1 up: reduce x_i * b for each standard b as the list grows.
+    # A normal form's monomials are standard, and every standard monomial but 1
+    # is some x_i * b, so numbering them as they first appear lists each once;
+    # modulo pure-difference binomials and monomials, each normal form is 0 or
+    # one monomial with coefficient 1
     reduce = _reducer(ring, ideal, order, budget)
     standard = [ring.one_exps()]
     index = {standard[0]: 0}
-    rows = []  # per standard b, the normal forms of x_1 b, ..., x_nvars b
+    rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b
     for b in standard:
-        rows.append([])
+        row = {}
         for i in range(ring.nvars):
-            m = b[:i] + (b[i] + 1,) + b[i + 1 :]
-            nf = reduce({m: 1})
-            rows[-1].append(nf)
-            if nf == {m: 1} and m not in index:
-                index[m] = len(standard)
-                standard.append(m)
-    size = len(standard)
-    matrix = ({i * size + index[exps]: coeff for i, nf in enumerate(row) for exps, coeff in nf.items()} for row in rows)
-    return size - sparse_rank(matrix)
+            for m, coeff in reduce({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1}).items():
+                if m not in index:
+                    index[m] = len(standard)
+                    standard.append(m)
+                row[index[m] * ring.nvars + i] = coeff
+        rows.append(row)
+    return len(standard) - sparse_rank(rows)
 
 
 def conjecture_fiber_iff_divides(records: list[ClassRecord]) -> list[tuple[int, int, bool]]:

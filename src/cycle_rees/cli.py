@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library operations and return (JSON
-payload, text, exit code); `run` alone renders and writes.  All output is
-deterministic (JSON keys sorted, polynomials in canonical order).  Exit
-codes: 0 success, 1 mathematical assertion failed, 2 usage error, 3 budget
-exceeded.
+`build_parser` declares each subcommand once, with its handler and JSON
+layout.  Handlers map one-to-one onto the library operations and return
+(JSON payload, text, exit code); `run` alone renders and writes.  All
+output is deterministic (JSON keys sorted, polynomials in canonical order).
+Exit codes: 0 success, 1 mathematical assertion failed, 2 usage error, 3
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from typing import Callable
 
 from .classify import (
     circulant_rank,
@@ -76,7 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, budget: bool = True, formats: tuple[str, ...] = ("text", "json")) -> None:
+    def declare(
+        p: argparse.ArgumentParser,
+        handler: Callable[[argparse.Namespace], _Result],
+        indent: int | None = None,
+        budget: bool = True,
+        formats: tuple[str, ...] = ("text", "json"),
+    ) -> None:
+        """Give p its handler and JSON indent, then the common flags after its own."""
+        p.set_defaults(handler=handler, indent=indent)
         p.add_argument("--format", choices=formats, default="text")
         if budget:
             p.add_argument("--budget-secs", type=float, default=None, help="per-computation budget (default 60 or $CYCLE_REES_BUDGET_SECS)")
@@ -85,44 +95,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--timings", action="store_true", help="include stage timings in JSON output")
-    add_common(p, formats=("text", "json", "csv"))
+    declare(p, _cmd_classify, indent=2, formats=("text", "json", "csv"))
 
     p = sub.add_parser("table", help="classification grid over a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--timings", action="store_true")
-    add_common(p, formats=("text", "json", "csv"))
+    declare(p, _cmd_table, indent=2, formats=("text", "json", "csv"))
 
     p = sub.add_parser("fiber-dim", help="dimension of the fiber cone")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--check-rank", action="store_true", help="cross-check against the circulant rank")
-    add_common(p, budget=False)
+    declare(p, _cmd_fiber_dim, budget=False)
 
     p = sub.add_parser("hilbert", help="Hilbert series of the Rees algebra at t = n-2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="recompute from the initial ideal and compare")
-    add_common(p)
+    declare(p, _cmd_hilbert)
 
     p = sub.add_parser("cm-type", help="Cohen-Macaulay type of the Rees algebra, odd n")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    declare(p, _cmd_cm_type)
 
     p = sub.add_parser("verify-gb", help="check a named family is a Groebner basis")
     p.add_argument("--family", choices=("n2", "half"), required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    declare(p, _cmd_verify_gb)
 
     p = sub.add_parser("pfaffian", help="Pfaffian of the Jacobian dual relation matrix, even n")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, budget=False)
+    declare(p, _cmd_pfaffian, budget=False)
 
     p = sub.add_parser("ideal", help="print generators of a named ideal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--which", choices=("path", "sym", "rees", "fiber", "family"), required=True)
-    add_common(p)
+    declare(p, _cmd_ideal, indent=2)
 
     return parser
 
@@ -227,21 +237,6 @@ class UsageError(Exception):
     """Usage error discovered after argument parsing."""
 
 
-# JSON of records and generators is indented, one item per line; the rest is compact
-_INDENTED_JSON = {"classify", "table", "ideal"}
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "table": _cmd_table,
-    "fiber-dim": _cmd_fiber_dim,
-    "hilbert": _cmd_hilbert,
-    "cm-type": _cmd_cm_type,
-    "verify-gb": _cmd_verify_gb,
-    "pfaffian": _cmd_pfaffian,
-    "ideal": _cmd_ideal,
-}
-
-
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
@@ -250,7 +245,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        payload, text, code = _COMMANDS[args.command](args)
+        payload, text, code = args.handler(args)
     except BudgetExceeded:
         payload, text, code = {"error": "budget exceeded"}, "budget exceeded\n", EXIT_BUDGET
     except InvariantError as exc:
@@ -260,8 +255,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        indent = 2 if args.command in _INDENTED_JSON else None
-        out.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+        out.write(json.dumps(payload, sort_keys=True, indent=args.indent) + "\n")
     elif args.format == "csv":
         writer = csv.DictWriter(out, ("n", "t", "class", "gcd", "fiber_dim"), extrasaction="ignore", lineterminator="\n")
         writer.writeheader()

@@ -52,9 +52,6 @@ class MonomialIdeal:
                 minimal.append(m)
         object.__setattr__(self, "gens", tuple(minimal))
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
 
 def initial_ideal(
     polys: Ideal | Sequence[Polynomial], order: OrderSpec | None = None, budget: Budget | None = None

@@ -133,6 +133,85 @@ def lcm_syzygies(spec: PathIdealSpec) -> list[Polynomial]:
     return gens
 
 
+# -- fiber graphs: monomials that no move of L + (H) reaches or leaves --
+#
+# L (the pairwise syzygies) and the toric ideal H are generated by
+# pure-difference binomials, so M1 - M2 with M1 != M2 lies in L + (H) only if
+# moves m*a -> m*b by its binomials a - b join M1 to M2 (Eisenbud-Sturmfels,
+# "Binomial ideals", 1996).  A monomial no move applies to is isolated.
+
+
+def _windows(spec: PathIdealSpec) -> list[set[int]]:
+    """Window j as the set of x indices j, ..., j + t - 1 mod n, for y_j."""
+    return [{(j + k) % spec.n for k in range(spec.t)} for j in range(spec.n)]
+
+
+def _y_and_x(spec: PathIdealSpec, m: Exponents) -> tuple[list[int], list[int]]:
+    """The exponents of y_0, ..., y_{n-1} and of x_0, ..., x_{n-1} in m, a monomial of cycle_ring(n)."""
+    index = cycle_ring(spec.n).var_index
+    return [m[index[f"y{j}"]] for j in range(spec.n)], [m[index[f"x{i}"]] for i in range(spec.n)]
+
+
+def _coverage(spec: PathIdealSpec, ys: list[int]) -> list[int]:
+    """How many times the windows of y_0^ys[0] ... y_{n-1}^ys[n-1] cover each x_i."""
+    cover = [0] * spec.n
+    for j, window in enumerate(_windows(spec)):
+        for i in window:
+            cover[i] += ys[j]
+    return cover
+
+
+def rees_image(spec: PathIdealSpec, m: Exponents) -> tuple[int, ...]:
+    """The exponents of x_0, ..., x_{n-1} and s in the image of m under y_j -> u_j s."""
+    ys, xs = _y_and_x(spec, m)
+    return (*(c + e for c, e in zip(_coverage(spec, ys), xs)), sum(ys))
+
+
+def window_covers(spec: PathIdealSpec, cover: list[int], limit: int = 2) -> int:
+    """How many multisets of windows cover each x_i exactly cover[i] times,
+    counted up to limit.
+
+    Windows are chosen in index order; once window j >= t - 1 is chosen, no
+    later window covers x_j, so what is left of cover[j] must be 0.
+    """
+    windows, rest = _windows(spec), list(cover)
+
+    def count(j: int) -> int:
+        if j == spec.n:
+            return int(not any(rest))
+        found = 0
+        for c in range(min(rest[i] for i in windows[j]) + 1):
+            for i in windows[j]:
+                rest[i] -= c
+            if j < spec.t - 1 or rest[j] == 0:
+                found += count(j + 1)
+            for i in windows[j]:
+                rest[i] += c
+            if found >= limit:
+                break
+        return found
+
+    return min(count(0), limit)
+
+
+def isolated(spec: PathIdealSpec, m: Exponents) -> bool:
+    """Whether no move by a binomial of L + (H) applies to the monomial m of K[y, x].
+
+    No term (lcm/u_i) y_i of a syzygy may divide m; a window is squarefree,
+    so lcm/u_i is the product of u_j's variables outside u_i.  No term y^beta
+    of a binomial of H may divide m either: no sub-multiset beta of m's
+    y-indices may have another multiset of windows with the same x-coverage.
+    Adding the rest of the y-part to both would give the whole y-part a second
+    cover too, so it is enough that the whole y-part covers in one way only.
+    """
+    ys, xs = _y_and_x(spec, m)
+    windows = _windows(spec)
+    for i in range(spec.n):
+        if ys[i] and any(j != i and all(xs[v] for v in windows[j] - windows[i]) for j in range(spec.n)):
+            return False
+    return window_covers(spec, _coverage(spec, ys)) == 1
+
+
 # -- monomial orders: comparison through the compiled key, and the
 # stage-by-stage key the compiled key must agree with --
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from cycle_rees.classify import (
+    ClassRecord,
     circulant_rank,
     classification_table,
     classify,
@@ -21,10 +22,17 @@ from cycle_rees.classify import (
 from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from cycle_rees.orders import product_order
-from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, family_n_minus_2, rees_ideal
-from cycle_rees.rings import parse_polynomial
+from cycle_rees.rees import (
+    PathIdealSpec,
+    artinian_reduction_ideal,
+    family_n_minus_2,
+    fiber_ideal_closed_form,
+    rees_ideal,
+    sym_relations,
+)
+from cycle_rees.rings import Polynomial, cycle_ring, parse_polynomial
 
-from oracles import GLYPH, KNOWN_GRID, known_linear, known_not_linear
+from oracles import GLYPH, KNOWN_GRID, isolated, known_linear, known_not_linear, rees_image, window_covers
 
 
 def test_fiber_dimension_examples():
@@ -126,6 +134,49 @@ def test_conjecture_report_consistent_small():
     assert report, "range should cover at least one conjecture cell"
     for n, t, ok in report:
         assert ok, (n, t)
+
+
+def assert_in_j_outside_l_plus_h(spec: PathIdealSpec, w: Polynomial) -> None:
+    """w = M1 - M2 lies in J, because M1 and M2 have one image under
+    y_j -> u_j s, and outside L + (H), because both terms are isolated."""
+    (m1, c1), (m2, c2) = w.terms.items()
+    assert c1 == -c2
+    assert rees_image(spec, m1) == rees_image(spec, m2), spec
+    assert isolated(spec, m1) and isolated(spec, m2), spec
+
+
+# Cells with t | n that are not of fiber type, each with a witness w in J
+# outside L + (H): an element of the grevlex basis of L + (H_c) with x_1 last,
+# divided by x_1.  The test checks them without Groebner code
+NOT_FIBER_THOUGH_T_DIVIDES_N = {
+    (20, 4): "x2*x3*x12*x13*y1*y5*y7*y11*y15*y17 - x7*x8*x17*x18*y0*y2*y6*y10*y12*y16",
+    (20, 5): "x2*x6*x10*x14*x18*y0*y4*y8*y12*y16 - x0*x4*x8*x12*x16*y2*y6*y10*y14*y18",
+    (24, 3): "x2*x10*x18*y1*y4*y6*y9*y12*y14*y17*y20*y22 - x6*x14*x22*y0*y2*y5*y8*y10*y13*y16*y18*y21",
+}
+
+
+def test_fiber_iff_divides_fails_from_n_20():
+    for (n, t), text in NOT_FIBER_THOUGH_T_DIVIDES_N.items():
+        spec = PathIdealSpec(n, t)
+        assert_in_j_outside_l_plus_h(spec, parse_polynomial(cycle_ring(n), text))
+        record = ClassRecord(n, t, "neither", spec.d, fiber_dimension(n, t))
+        assert conjecture_fiber_iff_divides([record]) == [(n, t, False)]
+    # controls: the 20-cycle has 4 tilings by 4-windows, and a term of an
+    # L syzygy or of an H_c binomial has a move
+    spec = PathIdealSpec(20, 4)
+    assert window_covers(spec, [1] * 20, limit=5) == 4
+    syzygy = sym_relations(spec).generators[0]
+    binomial = fiber_ideal_closed_form(spec).generators[0].to_ring(cycle_ring(20))
+    assert not any(isolated(spec, m) for g in (syzygy, binomial) for m in g.terms)
+
+
+def test_every_neither_witness_to_n_10_is_isolated():
+    cells = [(n, t) for n, row in KNOWN_GRID.items() if n <= 10 for t, glyph in enumerate(row, 1) if glyph == "×"]
+    assert cells == [(7, 4), (8, 3), (8, 5), (9, 5), (10, 4), (10, 6), (10, 7)]
+    for n, t in cells:
+        record = classify(n, t)
+        assert record.klass == "neither"
+        assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), record.witness))
 
 
 def test_hilbert_closed_forms():
