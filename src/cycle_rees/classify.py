@@ -91,7 +91,7 @@ def _verdict(spec: PathIdealSpec, budget: Budget | None, ms: dict[str, float]) -
         return "linear", None
     H = fiber_ideal(J, budget)
     ms["fiber"] = (time.perf_counter() - t2) * 1000
-    if H.is_zero_ideal():
+    if not H.generators:
         # H = 0 makes fiber type equivalent to linear type, already false
         return "neither", _neither_witness(J, L, budget)
     LH = Ideal(J.ring, L.generators + tuple(g.to_ring(J.ring) for g in H.generators))
@@ -112,13 +112,14 @@ def classify(n: int, t: int, budget_secs: float | None = None) -> ClassRecord:
     return record
 
 
-def _neither_witness(J: Ideal, smaller: Ideal, budget: Budget | None) -> str | None:
-    """A generator of J outside the candidate ideal, as canonical text."""
+def _neither_witness(J: Ideal, smaller: Ideal, budget: Budget | None) -> str:
+    """A generator of J outside the candidate ideal, as canonical text; the
+    caller found the two unequal, so finding none is an InvariantError."""
     order = product_order(J.ring)
     for g in J.generators:
         if not ideal_membership(g, smaller, order, budget):
             return g.to_text()
-    return None
+    raise InvariantError("J differs from the candidate ideal but contains no generator outside it")
 
 
 def classification_table(
@@ -201,9 +202,9 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     """Socle dimension of the Artinian reduction, i.e. the CM type, odd n."""
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
-    ring, order, gens = artinian_reduction_ideal(n)
-    ideal = Ideal(ring, gens)
-    K = initial_ideal(ideal, order, budget)
+    ideal = artinian_reduction_ideal(n)
+    ring = ideal.ring
+    K = initial_ideal(ideal, budget=budget)
     pure_powers = {i for g in K.gens for i, e in enumerate(g) if e and sum(g) == e}
     if len(pure_powers) < ring.nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
@@ -213,7 +214,7 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     # is some x_i * b, so numbering them as they first appear lists each once;
     # modulo pure-difference binomials and monomials, each normal form is 0 or
     # one monomial with coefficient 1
-    reduce = _reducer(ring, ideal, order, budget)
+    reduce = _reducer(ring, ideal, budget=budget)
     standard = [ring.one_exps()]
     index = {standard[0]: 0}
     rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b

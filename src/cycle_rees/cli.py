@@ -58,7 +58,7 @@ def _budget_secs(args: argparse.Namespace) -> float:
     if args.budget_secs is not None:
         if args.budget_secs > 0:
             return args.budget_secs
-        raise UsageError(f"--budget-secs must be a positive number of seconds, got {args.budget_secs!r}")
+        raise ValueError(f"--budget-secs must be a positive number of seconds, got {args.budget_secs!r}")
     env = os.environ.get(BUDGET_ENV)
     if not env:
         return 60.0
@@ -68,7 +68,7 @@ def _budget_secs(args: argparse.Namespace) -> float:
             return value
     except ValueError:
         pass
-    raise UsageError(f"{BUDGET_ENV} must be a positive number of seconds, got {env!r}")
+    raise ValueError(f"{BUDGET_ENV} must be a positive number of seconds, got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +145,7 @@ def _cmd_classify(args) -> _Result:
 
 def _cmd_table(args) -> _Result:
     if args.jobs < 1:
-        raise UsageError(f"--jobs must be a positive number of processes, got {args.jobs!r}")
+        raise ValueError(f"--jobs must be a positive number of processes, got {args.jobs!r}")
     records = classification_table(args.n_min, args.n_max, budget_secs=_budget_secs(args), jobs=args.jobs)
     code = EXIT_BUDGET if any(r.klass == "timeout" for r in records) else EXIT_OK
     return [r.to_json(include_ms=args.timings) for r in records], render_table(records), code
@@ -226,15 +226,11 @@ def _cmd_ideal(args) -> _Result:
         elif args.n % 2 == 0 and args.t == args.n // 2:
             fam = family_half(args.n)
         else:
-            raise UsageError("--which family needs t = n-2 or t = n/2")
+            raise ValueError("--which family needs t = n-2 or t = n/2")
         texts = {name: p.to_text() for name, p in fam.items()}
         return texts, "".join(f"{name} = {text}\n" for name, text in texts.items()), EXIT_OK
     texts = [g.to_text() for g in ideal.generators]
     return {"generators": texts}, "".join(f"{text}\n" for text in texts) or "0\n", EXIT_OK
-
-
-class UsageError(Exception):
-    """Usage error discovered after argument parsing."""
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
@@ -251,7 +247,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -485,9 +485,6 @@ class Ideal:
         self._gb_cache: dict[OrderSpec, tuple[Polynomial, ...]] = {}
         self._records: dict[OrderSpec, tuple[tuple[Reducer, ...], tuple[int, ...]]] = {}
 
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
-
     def groebner_basis(self, order: OrderSpec | None = None, budget: Budget | None = None) -> tuple[Polynomial, ...]:
         order = order or canonical_order(self.ring)
         cached = self._gb_cache.get(order)
@@ -507,7 +504,7 @@ def ideal_membership(
         raise RingError("polynomial and ideal live in different rings")
     if f.is_zero():
         return True
-    if ideal.is_zero_ideal():
+    if not ideal.generators:
         return False
     return normal_form(f, ideal, order, budget).is_zero()
 

@@ -72,7 +72,7 @@ def initial_ideal(
         ring = polys[0].ring
         order = order or canonical_order(ring)
     key = order.key_function(ring)
-    return MonomialIdeal(ring, [max(p.monomials(), key=key) for p in polys])
+    return MonomialIdeal(ring, [max(p.terms, key=key) for p in polys])
 
 
 def is_squarefree(ideal: MonomialIdeal) -> bool:

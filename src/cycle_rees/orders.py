@@ -110,9 +110,9 @@ def _compile_key(order: OrderSpec, ring: RingSpec) -> KeyFunction:
 
 
 def product_order(ring: RingSpec) -> OrderSpec:
-    """The product order on a ring with X and Y blocks (no elimination)."""
+    """The product order on a ring whose blocks are among Y and X (no elimination)."""
     if set(ring.block_names) - {"Y", "X"}:
-        raise RingError("product order needs a ring with exactly the Y and X blocks")
+        raise RingError("product order needs a ring with no blocks but Y and X")
     return canonical_order(ring)
 
 

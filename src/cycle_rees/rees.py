@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groebner import Budget, Ideal, eliminate
-from .orders import OrderSpec, canonical_order
 from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
 
 
@@ -155,18 +154,17 @@ def family_half(n: int) -> dict[str, Polynomial]:
     return out
 
 
-def artinian_reduction_ideal(n: int) -> tuple[RingSpec, OrderSpec, list[Polynomial]]:
+def artinian_reduction_ideal(n: int) -> Ideal:
     """The ideal presenting the Artinian reduction of the Rees algebra, odd n.
 
     In K[x1..x_{n-1}] under its canonical order, lex x1 > ... > x_{n-1}:
     (x_i^2 - x_{i+1}x_{i+2} for i <= n-3, x_{n-2}^2, x_{n-1}^2, x_1 x_2).
     """
     ring = RingSpec((("X", tuple(_x(n, *range(1, n)))),))
-    order = canonical_order(ring)
     gens = [_binomial(ring, _x(n, i, i), _x(n, i + 1, i + 2)) for i in range(1, n - 2)]
     for names in (_x(n, n - 2, n - 2), _x(n, n - 1, n - 1), _x(n, 1, 2)):
         gens.append(Polynomial.monomial(ring, _mono(ring, names)))
-    return ring, order, gens
+    return Ideal(ring, gens)
 
 
 class PolyMatrix:

@@ -180,9 +180,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def monomials(self) -> list[Exponents]:
-        return list(self._terms)
-
     def block_degrees(self, block: str) -> set[int]:
         """Set of per-term degrees in the given block (bihomogeneity probe)."""
         idxs = self.ring.block_indices(block)
@@ -213,7 +210,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            return Polynomial(self.ring, {e: k * other for e, k in self._terms.items()})
         self._require_same_ring(other)
         out: dict[Exponents, int | Fraction] = {}
         for ea, ca in self._terms.items():
@@ -227,9 +224,6 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c: int | Fraction) -> "Polynomial":
-        return Polynomial(self.ring, {e: k * c for e, k in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -266,19 +260,16 @@ class Polynomial:
 
     # -- text format --
 
-    def sorted_terms(self, key=None) -> list[tuple[Exponents, int | Fraction]]:
-        """Terms in descending order; ``key`` maps exponents to order keys."""
+    def to_text(self, key=None) -> str:
+        """Terms in descending order of ``key``, by default the canonical order's."""
+        if not self._terms:
+            return "0"
         if key is None:
             from .orders import canonical_order  # local import to avoid a cycle
 
             key = canonical_order(self.ring).key_function(self.ring)
-        return sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def to_text(self, key=None) -> str:
-        if not self._terms:
-            return "0"
         chunks: list[str] = []
-        for pos, (exps, coeff) in enumerate(self.sorted_terms(key)):
+        for pos, (exps, coeff) in enumerate(sorted(self._terms.items(), key=lambda t: key(t[0]), reverse=True)):
             body = self._monomial_text(exps)
             mag = abs(coeff)
             if body == "1":

@@ -91,7 +91,7 @@ def is_groebner_basis_all_pairs(polys: list[Polynomial], order: OrderSpec) -> bo
 
     def leading_term(g: Polynomial) -> tuple[Exponents, int | Fraction]:
         """The maximal monomial of g under order and its coefficient."""
-        lead = max(g.monomials(), key=order.key_function(g.ring))
+        lead = max(g.terms, key=order.key_function(g.ring))
         return lead, g.terms[lead]
 
     def monic_multiple(g: Polynomial, lcm: Exponents) -> Polynomial:

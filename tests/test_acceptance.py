@@ -48,6 +48,7 @@ from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_mul
 
 from conftest import cached_fiber, cached_rees, cached_sym
 from oracles import GLYPH, KNOWN_GRID, compare, determinant, hilbert_by_inclusion_exclusion, pivot_least_frequent
+from test_classify import NEITHER_WITNESSES_11_TO_13
 
 
 def criterion(label: str):
@@ -88,7 +89,7 @@ def test_c2_rank_and_fiber_vanishing():
             assert circulant_rank(n, t) == n - gcd(n, t) + 1, (n, t)
     for n in range(3, 13):
         for t in range(1, n):
-            assert cached_fiber(n, t).is_zero_ideal() == (gcd(n, t) == 1), (n, t)
+            assert (not cached_fiber(n, t).generators) == (gcd(n, t) == 1), (n, t)
 
 
 @criterion("C3 fiber relations match the closed form, n <= 10")
@@ -296,3 +297,6 @@ def test_c1_stretch_rows():
         expected = KNOWN_GRID[n]
         for got, want in zip(row, expected):
             assert got in (want, "T"), f"row {n}: {row} vs {expected}"
+    for r in records:
+        if r.klass == "neither":
+            assert r.witness == NEITHER_WITNESSES_11_TO_13[(r.n, r.t)], (r.n, r.t)

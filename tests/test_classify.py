@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import importlib
 from math import gcd
 
 import pytest
@@ -21,7 +22,7 @@ from cycle_rees.classify import (
 )
 from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
-from cycle_rees.orders import product_order
+from cycle_rees.orders import canonical_order, product_order
 from cycle_rees.rees import (
     PathIdealSpec,
     artinian_reduction_ideal,
@@ -30,7 +31,7 @@ from cycle_rees.rees import (
     rees_ideal,
     sym_relations,
 )
-from cycle_rees.rings import Polynomial, cycle_ring, parse_polynomial
+from cycle_rees.rings import InvariantError, Polynomial, cycle_ring, parse_polynomial
 
 from oracles import GLYPH, KNOWN_GRID, isolated, known_linear, known_not_linear, rees_image, window_covers
 
@@ -170,6 +171,43 @@ def test_fiber_iff_divides_fails_from_n_20():
     assert not any(isolated(spec, m) for g in (syzygy, binomial) for m in g.terms)
 
 
+# The neither cells of rows 11-13, each with the witness classify reports at
+# the stretch setting: the test checks them without Groebner code, and the
+# stretch test checks that classify still reports them
+NEITHER_WITNESSES_11_TO_13 = {
+    (11, 3): "x0*y2*y5*y7*y10 - x7*y0*y3*y6*y9",
+    (11, 4): "x0*y3*y6*y10 - x6*y0*y4*y8",
+    (11, 6): "x0*y4*y10 - x4*y0*y6",
+    (11, 7): "x0*x1*x6*y3*y9 - x3*x4*x9*y0*y6",
+    (11, 8): "x0*x4*y2*y6*y10 - x2*x6*y0*y4*y8",
+    (12, 5): "x0*x1*x2*y4*y6*y11 - x6*x7*x8*y0*y5*y10",
+    (12, 7): "x0*x1*y4*y11 - x4*x5*y0*y7",
+    (12, 8): "x0*x1*x6*x7*y3*y9 - x3*x4*x9*x10*y0*y6",
+    (12, 9): "x0*x4*x8*y2*y6*y10 - x2*x6*x10*y0*y4*y8",
+    (13, 5): "x0*x1*y4*y7*y12 - x7*x8*y0*y5*y10",
+    (13, 7): "x0*y5*y12 - x5*y0*y7",
+    (13, 8): "x0*x1*x2*y4*y12 - x4*x5*x6*y0*y8",
+    (13, 9): "x0*y3*y8*y12 - x3*y0*y5*y9",
+    (13, 10): "x0*y2*y6*y9*y12 - x2*y0*y4*y7*y10",
+}
+
+
+def test_every_neither_witness_of_rows_11_to_13_is_isolated():
+    cells = [(n, t) for n in (11, 12, 13) for t, glyph in enumerate(KNOWN_GRID[n], 1) if glyph == "×"]
+    assert cells == list(NEITHER_WITNESSES_11_TO_13)
+    for (n, t), text in NEITHER_WITNESSES_11_TO_13.items():
+        assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), text))
+
+
+def test_a_neither_cell_never_loses_its_witness(monkeypatch):
+    # J differs from the candidate ideal yet holds no generator outside it: an
+    # inconsistency, not a verdict.  The package binds the name classify to
+    # the function, so the module comes from importlib
+    monkeypatch.setattr(importlib.import_module("cycle_rees.classify"), "ideal_membership", lambda *args: True)
+    with pytest.raises(InvariantError):
+        classify(7, 4)
+
+
 def test_every_neither_witness_to_n_10_is_isolated():
     cells = [(n, t) for n, row in KNOWN_GRID.items() if n <= 10 for t, glyph in enumerate(row, 1) if glyph == "×"]
     assert cells == [(7, 4), (8, 3), (8, 5), (9, 5), (10, 4), (10, 6), (10, 7)]
@@ -215,8 +253,7 @@ def test_hilbert_numerator_is_palindromic_exactly_for_even_n():
 
 
 def test_artinian_reduction_n3():
-    ring, order, gens = artinian_reduction_ideal(3)
-    assert {g.to_text() for g in gens} == {"x1^2", "x2^2", "x1*x2"}
+    assert {g.to_text() for g in artinian_reduction_ideal(3).generators} == {"x1^2", "x2^2", "x1*x2"}
 
 
 def test_cm_type_small_odd():
@@ -235,7 +272,9 @@ def test_cm_type_work_is_pinned():
 
 
 def test_batch_normal_forms_match_single_calls():
-    ring, order, gens = artinian_reduction_ideal(7)
+    ideal = artinian_reduction_ideal(7)
+    ring, gens = ideal.ring, list(ideal.generators)
+    order = canonical_order(ring)
     basis = list(buchberger(gens, order))
     f1 = parse_polynomial(ring, "x1^3*x4 - 2*x3^2*x5 + x1^2*x6 + x2")
     f2 = parse_polynomial(ring, "x5^2*x6 + x4*x6 - 1/3*x1")

@@ -94,9 +94,9 @@ def test_buchberger_initial_ideal_of_rees_n4():
     order = product_order(ring)
     gb = buchberger(fam_polys(4), order)
     key = order.key_function(ring)
-    leads = {max(g.monomials(), key=key) for g in gb}
+    leads = {max(g.terms, key=key) for g in gb}
     expected = {
-        parse_polynomial(ring, text).monomials()[0]
+        next(iter(parse_polynomial(ring, text).terms))
         for text in ("x3*y1", "x0*y2", "x1*y3", "x0*y1", "y1*y3")
     }
     assert leads == expected
@@ -315,7 +315,7 @@ def test_eliminate_s_then_x(rees_cache, fiber_cache):
     H = fiber_cache(4, 2)
     expected = parse_polynomial(H.ring, "y1*y3 - y0*y2")
     assert tuple(H.generators) == (expected,)
-    assert fiber_cache(5, 2).is_zero_ideal()
+    assert not fiber_cache(5, 2).generators
 
 
 def test_eliminate_drops_a_middle_block():
@@ -474,7 +474,7 @@ scales = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambd
 def test_normal_form_ignores_divisor_scaling(f, scaled):
     order = OrderSpec(((("X",), "grevlex"),))
     basis = [b for b, _ in scaled]
-    assert normal_form(f, basis, order) == normal_form(f, [b.scale(c) for b, c in scaled], order)
+    assert normal_form(f, basis, order) == normal_form(f, [b * c for b, c in scaled], order)
 
 
 fractional = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda c: c.denominator > 1)
@@ -490,7 +490,7 @@ def test_reduced_basis_ignores_generator_scaling(scaled, fractional_gen):
     order = OrderSpec(((("X",), "grevlex"),))
     scaled = scaled + [fractional_gen]
     gb = buchberger([b for b, _ in scaled], order)
-    assert buchberger([b.scale(c) for b, c in scaled], order) == gb
+    assert buchberger([b * c for b, c in scaled], order) == gb
     assert_reduced_shape(gb, order)
 
 

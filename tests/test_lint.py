@@ -196,3 +196,18 @@ def test_only_orders_builds_an_order():
         for call in calls_of(ast.parse(path.read_text()), "OrderSpec")
     ]
     assert not built, f"OrderSpec built outside orders.py: {built}"
+
+
+def test_ideal_functions_of_rees_return_an_ideal():
+    """One shape for a constructed ideal: each public ``*_ideal`` function of
+    ``rees`` and ``sym_relations`` is annotated to return an ``Ideal``."""
+    made = {
+        node.name: ast.unparse(node.returns) if node.returns else None
+        for node in ast.parse((PACKAGE / "rees.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and (node.name.endswith("_ideal") or node.name == "sym_relations")
+    }
+    assert "sym_relations" in made and "artinian_reduction_ideal" in made
+    wrong = {name: returns for name, returns in made.items() if returns != "Ideal"}
+    assert not wrong, f"ideal functions not annotated -> Ideal: {wrong}"

@@ -27,7 +27,7 @@ from oracles import hilbert_by_inclusion_exclusion, pivot_least_frequent
 
 
 def monos(ring, *texts):
-    return [parse_polynomial(ring, t).monomials()[0] for t in texts]
+    return [next(iter(parse_polynomial(ring, t).terms)) for t in texts]
 
 
 def mono_ideal(ring, *texts) -> MonomialIdeal:

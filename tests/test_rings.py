@@ -224,7 +224,7 @@ REVERSED6 = RingSpec((("K", R6.variables[::-1]),))
 @given(mixed_polys6, mixed_polys6, mixed_coeffs)
 def test_integral_coefficients_are_ints(p, q, c):
     built = [Polynomial.monomial(R6, R6.one_exps(), c), p.to_ring(REVERSED6), parse_polynomial(R6, p.to_text())]
-    results = [p, p + q, p - q, -p, p * q, p * c, c * p, p.scale(c), *built]
+    results = [p, p + q, p - q, -p, p * q, p * c, c * p, *built]
     assert all(one_form(r) for r in results)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cycle_rees.rees import artinian_reduction_ideal
-from cycle_rees.groebner import Ideal, buchberger
+from cycle_rees.groebner import buchberger
 from cycle_rees.orders import elimination_order
 from cycle_rees.rees import PathIdealSpec, fiber_ideal, graph_ideal
 
@@ -72,6 +72,6 @@ def test_fiber_ideal_matches_sympy(n, t):
 
 @pytest.mark.parametrize("n", range(3, 12, 2))
 def test_artinian_reduction_basis_matches_sympy(n):
-    ring, order, gens = artinian_reduction_ideal(n)
-    expected = {_monic(p, lex) for p in _sympy_basis(gens, ring, lex)}
-    assert {frozenset(g.terms.items()) for g in Ideal(ring, gens).groebner_basis(order)} == expected
+    ideal = artinian_reduction_ideal(n)
+    expected = {_monic(p, lex) for p in _sympy_basis(ideal.generators, ideal.ring, lex)}
+    assert {frozenset(g.terms.items()) for g in ideal.groebner_basis()} == expected
