@@ -215,7 +215,7 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     # modulo pure-difference binomials and monomials, each normal form is 0 or
     # one monomial with coefficient 1
     reduce = _reducer(ring, ideal, budget=budget)
-    standard = [ring.one_exps()]
+    standard = [(0,) * ring.nvars]
     index = {standard[0]: 0}
     rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b
     for b in standard:

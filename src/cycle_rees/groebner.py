@@ -149,7 +149,7 @@ class _Engine:
         for g in basis:
             if g.ring != self.ring:
                 raise RingError("basis polynomial in a different ring")
-            if g.is_zero():
+            if not g:
                 raise RingError("zero polynomial in reduction basis")
         reducers = tuple(self.reducer(self.pack(g.terms)) for g in basis)
         return reducers, tuple(rec[0] for rec in reducers)
@@ -389,7 +389,7 @@ def _pairs_of(
 ) -> _Pairs | None:
     """The pair state of the nonzero polys, inserted in list order, or None
     when there are none."""
-    gens = [g for g in polys if not g.is_zero()]
+    gens = [g for g in polys if g]
     if not gens:
         return None
     ring = gens[0].ring
@@ -476,7 +476,7 @@ class Ideal:
     of its engine records, which the first reduction against it fills."""
 
     def __init__(self, ring: RingSpec, generators: Iterable[Polynomial]):
-        gens = tuple(g for g in generators if not g.is_zero())
+        gens = tuple(g for g in generators if g)
         for g in gens:
             if g.ring != ring:
                 raise RingError("generator in a different ring")
@@ -502,11 +502,7 @@ def ideal_membership(
 ) -> bool:
     if f.ring != ideal.ring:
         raise RingError("polynomial and ideal live in different rings")
-    if f.is_zero():
-        return True
-    if not ideal.generators:
-        return False
-    return normal_form(f, ideal, order, budget).is_zero()
+    return not normal_form(f, ideal, order, budget)
 
 
 def ideal_equal(
@@ -528,12 +524,7 @@ def gb_certificate(
     order: OrderSpec,
 ) -> dict[str, object]:
     """JSON-ready certificate: canonical polynomial texts plus the order."""
-    if basis:
-        key = order.key_function(basis[0].ring)
-        texts = [g.to_text(key) for g in basis]
-    else:
-        texts = []
-    return {"order": order.describe(), "basis": texts}
+    return {"order": order.describe(), "basis": [g.to_text(order.key_function(g.ring)) for g in basis]}
 
 
 def eliminate(

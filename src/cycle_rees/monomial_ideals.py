@@ -66,7 +66,7 @@ def initial_ideal(
         ring = polys.ring
         order = order or canonical_order(ring)
         polys = polys.groebner_basis(order, budget)
-    elif not polys or any(p.is_zero() or p.ring != polys[0].ring for p in polys):
+    elif not polys or any(not p or p.ring != polys[0].ring for p in polys):
         raise RingError("leading monomials need nonzero polynomials of one ring")
     else:
         ring = polys[0].ring
@@ -119,7 +119,7 @@ class HilbertSeries:
     def __str__(self) -> str:
         num = Polynomial(_Z, {(k,): c for k, c in enumerate(self.numerator)})
         text = num.to_text(key=lambda e: -e[0])  # ascending degree
-        if self.denom_power == 0 or num.is_zero():
+        if self.denom_power == 0 or not num:
             return text
         return f"({text}) / (1-z)^{self.denom_power}"
 

@@ -62,7 +62,7 @@ def path_ideal(spec: PathIdealSpec) -> Ideal:
     """The ideal of all length-t windows of the n-cycle, in the x variables."""
     n, t = spec.n, spec.t
     ring = x_ring(n)
-    return Ideal(ring, [Polynomial.monomial(ring, _mono(ring, _x(n, *range(j, j + t)))) for j in range(1, n + 1)])
+    return Ideal(ring, [Polynomial(ring, {_mono(ring, _x(n, *range(j, j + t))): 1}) for j in range(1, n + 1)])
 
 
 def sym_relations(spec: PathIdealSpec) -> Ideal:
@@ -163,7 +163,7 @@ def artinian_reduction_ideal(n: int) -> Ideal:
     ring = RingSpec((("X", tuple(_x(n, *range(1, n)))),))
     gens = [_binomial(ring, _x(n, i, i), _x(n, i + 1, i + 2)) for i in range(1, n - 2)]
     for names in (_x(n, n - 2, n - 2), _x(n, n - 1, n - 1), _x(n, 1, 2)):
-        gens.append(Polynomial.monomial(ring, _mono(ring, names)))
+        gens.append(Polynomial(ring, {_mono(ring, names): 1}))
     return Ideal(ring, gens)
 
 
@@ -181,20 +181,12 @@ class PolyMatrix:
         self.ring = ring
         self.rows = [list(row) for row in rows]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
         i, j = ij
         return self.rows[i][j]
 
     def is_skew_symmetric(self) -> bool:
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.rows[i][j] != -self.rows[j][i]:
-                    return False
-        return True
+        return all(entry == -self.rows[j][i] for i, row in enumerate(self.rows) for j, entry in enumerate(row))
 
 
 def jacobian_dual(n: int) -> PolyMatrix:
@@ -207,12 +199,11 @@ def jacobian_dual(n: int) -> PolyMatrix:
     if n % 2:
         raise ValueError("Jacobian dual Pfaffian needs even n")
     ring = y_ring(n)
-    zero = Polynomial.zero(ring)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
+    rows = [[Polynomial(ring, {}) for _ in range(n)] for _ in range(n)]
     for r in range(1, n + 1):
         j = r + 1
-        rows[r - 1][(r - 2) % n] = Polynomial.variable(ring, *_y(n, j))  # column of x_{j-2}, 0-based
-        rows[r - 1][r % n] = -Polynomial.variable(ring, *_y(n, j + 1))  # column of x_j, 0-based
+        rows[r - 1][(r - 2) % n] = Polynomial(ring, {_mono(ring, _y(n, j)): 1})  # column of x_{j-2}, 0-based
+        rows[r - 1][r % n] = Polynomial(ring, {_mono(ring, _y(n, j + 1)): -1})  # column of x_j, 0-based
     matrix = PolyMatrix(ring, rows)
     if not matrix.is_skew_symmetric():
         raise InvariantError("relation matrix is not skew-symmetric; indexing bug")
@@ -221,7 +212,7 @@ def jacobian_dual(n: int) -> PolyMatrix:
 
 def pfaffian(matrix: PolyMatrix) -> Polynomial:
     """Pfaffian by recursive expansion along the first remaining row."""
-    size = matrix.size
+    size = len(matrix.rows)
     if size % 2:
         raise ValueError("Pfaffian needs even dimension")
     if not matrix.is_skew_symmetric():
@@ -230,14 +221,14 @@ def pfaffian(matrix: PolyMatrix) -> Polynomial:
 
     def pf(active: tuple[int, ...]) -> Polynomial:
         if not active:
-            return Polynomial.one(matrix.ring)
+            return Polynomial(matrix.ring, {(0,) * matrix.ring.nvars: 1})
         if active in memo:
             return memo[active]
         first = active[0]
-        total = Polynomial.zero(matrix.ring)
+        total = Polynomial(matrix.ring, {})
         for pos in range(1, len(active)):
             entry = matrix.rows[first][active[pos]]
-            if entry.is_zero():
+            if not entry:
                 continue
             rest = tuple(active[k] for k in range(1, len(active)) if k != pos)
             term = entry * pf(rest)

@@ -65,9 +65,6 @@ class RingSpec:
                 return tuple(self.var_index[v] for v in names)
         raise RingError(f"no block {block!r}")
 
-    def one_exps(self) -> Exponents:
-        return (0,) * self.nvars
-
     @cached_property
     def display_indices(self) -> tuple[int, ...]:
         """Variable indices in printing order: X block, Y block, then the rest.
@@ -147,38 +144,12 @@ class Polynomial:
         self._terms = {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
         self._hash: int | None = None
 
-    # -- constructors --
-
-    @classmethod
-    def zero(cls, ring: RingSpec) -> "Polynomial":
-        return cls(ring, {})
-
-    @classmethod
-    def one(cls, ring: RingSpec) -> "Polynomial":
-        return cls(ring, {ring.one_exps(): 1})
-
-    @classmethod
-    def variable(cls, ring: RingSpec, name: str) -> "Polynomial":
-        exps = [0] * ring.nvars
-        try:
-            exps[ring.var_index[name]] = 1
-        except KeyError:
-            raise RingError(f"no variable {name!r} in ring") from None
-        return cls(ring, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, ring: RingSpec, exps: Exponents, coeff: int | Fraction = 1) -> "Polynomial":
-        return cls(ring, {tuple(exps): coeff})
-
     # -- mapping access --
 
     @property
     def terms(self) -> Mapping[Exponents, int | Fraction]:
         """Read-only view of the term dict, without a copy."""
         return MappingProxyType(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def block_degrees(self, block: str) -> set[int]:
         """Set of per-term degrees in the given block (bihomogeneity probe)."""

@@ -87,7 +87,7 @@ def gebauer_moeller_queue(
 def is_groebner_basis_all_pairs(polys: list[Polynomial], order: OrderSpec) -> bool:
     """Whether the S-polynomial of every pair of nonzero polys, none skipped,
     reduces to zero against them."""
-    polys = [g for g in polys if not g.is_zero()]
+    polys = [g for g in polys if g]
 
     def leading_term(g: Polynomial) -> tuple[Exponents, int | Fraction]:
         """The maximal monomial of g under order and its coefficient."""
@@ -97,12 +97,12 @@ def is_groebner_basis_all_pairs(polys: list[Polynomial], order: OrderSpec) -> bo
     def monic_multiple(g: Polynomial, lcm: Exponents) -> Polynomial:
         """(lcm / lead(g)) g / lc(g), whose leading term is lcm."""
         lead, coeff = leading_term(g)
-        return g * Polynomial.monomial(g.ring, mono_div(lcm, lead), Fraction(1) / coeff)
+        return g * Polynomial(g.ring, {mono_div(lcm, lead): Fraction(1) / coeff})
 
     for i, f in enumerate(polys):
         for g in polys[i + 1 :]:
             lcm = mono_lcm(leading_term(f)[0], leading_term(g)[0])
-            if not normal_form(monic_multiple(f, lcm) - monic_multiple(g, lcm), polys, order).is_zero():
+            if normal_form(monic_multiple(f, lcm) - monic_multiple(g, lcm), polys, order):
                 return False
     return True
 
@@ -194,22 +194,29 @@ def window_covers(spec: PathIdealSpec, cover: list[int], limit: int = 2) -> int:
     return min(count(0), limit)
 
 
-def isolated(spec: PathIdealSpec, m: Exponents) -> bool:
-    """Whether no move by a binomial of L + (H) applies to the monomial m of K[y, x].
+def l_isolated(spec: PathIdealSpec, m: Exponents) -> bool:
+    """Whether no move by a binomial of L applies to the monomial m of K[y, x].
 
     No term (lcm/u_i) y_i of a syzygy may divide m; a window is squarefree,
-    so lcm/u_i is the product of u_j's variables outside u_i.  No term y^beta
-    of a binomial of H may divide m either: no sub-multiset beta of m's
-    y-indices may have another multiset of windows with the same x-coverage.
-    Adding the rest of the y-part to both would give the whole y-part a second
-    cover too, so it is enough that the whole y-part covers in one way only.
+    so lcm/u_i is the product of u_j's variables outside u_i.
     """
     ys, xs = _y_and_x(spec, m)
     windows = _windows(spec)
-    for i in range(spec.n):
-        if ys[i] and any(j != i and all(xs[v] for v in windows[j] - windows[i]) for j in range(spec.n)):
-            return False
-    return window_covers(spec, _coverage(spec, ys)) == 1
+    return not any(
+        ys[i] and j != i and all(xs[v] for v in windows[j] - windows[i]) for i in range(spec.n) for j in range(spec.n)
+    )
+
+
+def isolated(spec: PathIdealSpec, m: Exponents) -> bool:
+    """Whether no move by a binomial of L + (H) applies to the monomial m of K[y, x].
+
+    m must be l_isolated, and no term y^beta of a binomial of H may divide m
+    either: no sub-multiset beta of m's y-indices may have another multiset of
+    windows with the same x-coverage.  Adding the rest of the y-part to both
+    would give the whole y-part a second cover too, so it is enough that the
+    whole y-part covers in one way only.
+    """
+    return l_isolated(spec, m) and window_covers(spec, _coverage(spec, _y_and_x(spec, m)[0])) == 1
 
 
 # -- monomial orders: comparison through the compiled key, and the
@@ -297,21 +304,21 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
 
     def det(rows: tuple[int, ...]) -> Polynomial:
         if not rows:
-            return Polynomial.one(matrix.ring)
+            return Polynomial(matrix.ring, {(0,) * matrix.ring.nvars: 1})
         if rows in memo:
             return memo[rows]
-        col = matrix.size - len(rows)
-        total = Polynomial.zero(matrix.ring)
+        col = len(matrix.rows) - len(rows)
+        total = Polynomial(matrix.ring, {})
         for pos, row in enumerate(rows):
             entry = matrix.rows[row][col]
-            if entry.is_zero():
+            if not entry:
                 continue
             term = entry * det(rows[:pos] + rows[pos + 1 :])
             total = total + term if pos % 2 == 0 else total - term
         memo[rows] = total
         return total
 
-    return det(tuple(range(matrix.size)))
+    return det(tuple(range(len(matrix.rows))))
 
 
 # -- the classification grid, one glyph per cell (n, t) for t = 1 .. n-1 --

@@ -20,20 +20,21 @@ from cycle_rees.classify import (
     render_table,
     verify_hilbert,
 )
-from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, normal_form
+from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, gb_certificate, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
-from cycle_rees.orders import canonical_order, product_order
+from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
 from cycle_rees.rees import (
     PathIdealSpec,
+    PolyMatrix,
     artinian_reduction_ideal,
     family_n_minus_2,
     fiber_ideal_closed_form,
     rees_ideal,
     sym_relations,
 )
-from cycle_rees.rings import InvariantError, Polynomial, cycle_ring, parse_polynomial
+from cycle_rees.rings import InvariantError, Polynomial, RingError, cycle_ring, parse_polynomial, y_ring
 
-from oracles import GLYPH, KNOWN_GRID, isolated, known_linear, known_not_linear, rees_image, window_covers
+from oracles import GLYPH, KNOWN_GRID, isolated, known_linear, known_not_linear, l_isolated, rees_image, window_covers
 
 
 def test_fiber_dimension_examples():
@@ -75,7 +76,7 @@ def test_classify_rows_match_known_grid():
     for r in records:
         assert r.fiber_dim == r.n - r.gcd + 1
         if r.klass == "neither":
-            assert r.witness
+            assert r.witness == NEITHER_WITNESSES[(r.n, r.t)], (r.n, r.t)
     # out of budget is an exception, never a wrong basis
     with pytest.raises(BudgetExceeded):
         rees_ideal(PathIdealSpec(9, 5), Budget(max_steps=1))
@@ -117,16 +118,59 @@ def test_render_table_shape():
     assert len(lines) == 4
 
 
+Y4 = y_ring(4)
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: circulant_rank(5, 0), ValueError),
+        (lambda: classification_table(5, 4), ValueError),
+        (lambda: hilbert_closed_form_n_minus_2(2), ValueError),
+        (lambda: cycle_ring(2), RingError),
+        (lambda: cycle_ring(4).block_indices("Q"), RingError),
+        (lambda: OrderSpec((((), "lex"),)), RingError),
+        (lambda: elimination_order(cycle_ring(4), ("Q",)), RingError),
+        (lambda: PolyMatrix(Y4, [[parse_polynomial(Y4, "y1")]] * 2), ValueError),
+        (lambda: PolyMatrix(Y4, [[parse_polynomial(cycle_ring(4), "x1")]]), RingError),
+        (lambda: render_table([]), ""),
+        (lambda: gb_certificate([], product_order(Y4))["basis"], []),
+    ],
+    ids=[
+        "circulant-rank-t-0",
+        "table-n-min-above-n-max",
+        "hilbert-closed-form-n-2",
+        "cycle-ring-2",
+        "unknown-block",
+        "empty-order-stage",
+        "eliminate-unknown-block",
+        "non-square-matrix",
+        "matrix-entry-in-another-ring",
+        "empty-table",
+        "empty-certificate",
+    ],
+)
+def test_input_edges(call, outcome):
+    """Checks of bad or empty input that no other test reaches."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
 def test_known_type_predicates_against_table():
-    records = classification_table(3, 8)
-    for r in records:
-        if known_linear(r.n, r.t):
-            assert r.klass == "linear", (r.n, r.t)
-        if known_not_linear(r.n, r.t):
-            assert r.klass != "linear", (r.n, r.t)
-        if known_not_linear(r.n, r.t) and r.gcd == 1:
-            # with no fiber relations, failing linear type means neither
-            assert r.klass == "neither", (r.n, r.t)
+    # KNOWN_GRID is classify's grid: test_classify_rows_match_known_grid
+    # checks rows 3-8, C1 rows 3-10 and the stretch test rows 11-13
+    for n, row in KNOWN_GRID.items():
+        for t, glyph in enumerate(row, 1):
+            if known_linear(n, t):
+                assert glyph == "L", (n, t)
+            if known_not_linear(n, t):
+                assert glyph != "L", (n, t)
+                if gcd(n, t) == 1:
+                    # with no fiber relations, failing linear type means neither
+                    assert glyph == "×", (n, t)
 
 
 def test_conjecture_report_consistent_small():
@@ -171,10 +215,18 @@ def test_fiber_iff_divides_fails_from_n_20():
     assert not any(isolated(spec, m) for g in (syzygy, binomial) for m in g.terms)
 
 
-# The neither cells of rows 11-13, each with the witness classify reports at
-# the stretch setting: the test checks them without Groebner code, and the
-# stretch test checks that classify still reports them
-NEITHER_WITNESSES_11_TO_13 = {
+# The neither cells of rows 7-13, each with the witness classify reports:
+# the test below checks them without Groebner code, and the grid tests
+# (rows 3-8 here, rows 3-10 in C1, rows 11-13 at the stretch setting) check
+# that classify still reports them
+NEITHER_WITNESSES = {
+    (7, 4): "x0*y2*y6 - x2*y0*y4",
+    (8, 3): "x0*y2*y4*y7 - x4*y0*y3*y6",
+    (8, 5): "x0*x4*y2*y6 - x2*x6*y0*y4",
+    (9, 5): "x0*y3*y8 - x3*y0*y5",
+    (10, 4): "x0*x1*y3*y5*y9 - x5*x6*y0*y4*y8",
+    (10, 6): "x0*x1*y3*y9 - x3*x4*y0*y6",
+    (10, 7): "x0*y2*y6*y9 - x2*y0*y4*y7",
     (11, 3): "x0*y2*y5*y7*y10 - x7*y0*y3*y6*y9",
     (11, 4): "x0*y3*y6*y10 - x6*y0*y4*y8",
     (11, 6): "x0*y4*y10 - x4*y0*y6",
@@ -192,11 +244,35 @@ NEITHER_WITNESSES_11_TO_13 = {
 }
 
 
-def test_every_neither_witness_of_rows_11_to_13_is_isolated():
-    cells = [(n, t) for n in (11, 12, 13) for t, glyph in enumerate(KNOWN_GRID[n], 1) if glyph == "×"]
-    assert cells == list(NEITHER_WITNESSES_11_TO_13)
-    for (n, t), text in NEITHER_WITNESSES_11_TO_13.items():
+def test_every_neither_witness_of_rows_7_to_13_is_isolated():
+    cells = [(n, t) for n, row in KNOWN_GRID.items() for t, glyph in enumerate(row, 1) if glyph == "×"]
+    assert cells == list(NEITHER_WITNESSES)
+    for (n, t), text in NEITHER_WITNESSES.items():
         assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), text))
+
+
+def test_every_cell_of_rows_3_to_13_not_of_linear_type_has_a_certificate():
+    """A binomial whose two terms have one image under y_j -> u_j s lies in J.
+    L is generated by pure-difference binomials, so if one term has no move by
+    them, the binomial lies outside L and J != L.  The binomial is the first
+    fiber relation of the closed form if d > 1, else the neither witness."""
+    for n, row in KNOWN_GRID.items():
+        ring = cycle_ring(n)
+        for t, glyph in enumerate(row, 1):
+            spec = PathIdealSpec(n, t)
+            if glyph == "L":
+                assert spec.d == 1 and (n, t) not in NEITHER_WITNESSES, (n, t)
+                continue
+            if spec.d > 1:
+                w = fiber_ideal_closed_form(spec).generators[0].to_ring(ring)
+            else:
+                w = parse_polynomial(ring, NEITHER_WITNESSES[n, t])
+            m1, m2 = w.terms
+            assert rees_image(spec, m1) == rees_image(spec, m2), (n, t)
+            assert l_isolated(spec, m1) or l_isolated(spec, m2), (n, t)
+    # control: a syzygy of L lies in J too, but each of its terms has a move
+    spec = PathIdealSpec(7, 4)
+    assert not any(l_isolated(spec, m) for m in sym_relations(spec).generators[0].terms)
 
 
 def test_a_neither_cell_never_loses_its_witness(monkeypatch):
@@ -206,15 +282,6 @@ def test_a_neither_cell_never_loses_its_witness(monkeypatch):
     monkeypatch.setattr(importlib.import_module("cycle_rees.classify"), "ideal_membership", lambda *args: True)
     with pytest.raises(InvariantError):
         classify(7, 4)
-
-
-def test_every_neither_witness_to_n_10_is_isolated():
-    cells = [(n, t) for n, row in KNOWN_GRID.items() if n <= 10 for t, glyph in enumerate(row, 1) if glyph == "×"]
-    assert cells == [(7, 4), (8, 3), (8, 5), (9, 5), (10, 4), (10, 6), (10, 7)]
-    for n, t in cells:
-        record = classify(n, t)
-        assert record.klass == "neither"
-        assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), record.witness))
 
 
 def test_hilbert_closed_forms():

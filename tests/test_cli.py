@@ -14,7 +14,7 @@ import pytest
 import cycle_rees
 import cycle_rees.cli as cli
 from cycle_rees.cli import run
-from cycle_rees.rings import Polynomial
+from cycle_rees.rings import parse_polynomial
 
 
 def invoke(*argv: str) -> tuple[int, str]:
@@ -32,6 +32,21 @@ def test_classify_text():
 def test_classify_linear_cell():
     code, out = invoke("classify", "--n", "5", "--t", "3")
     assert code == 0 and out.strip() == "linear"
+
+
+def test_timings_add_rounded_stage_times_to_json():
+    code, out = invoke("classify", "--n", "6", "--t", "5", "--timings", "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert set(record["ms"]) == {"sym", "rees"}
+    assert all(round(ms, 3) == ms for ms in record["ms"].values())
+    code, out = invoke("table", "--n-min", "3", "--n-max", "4", "--jobs", "1", "--timings", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 5 and all("ms" in r for r in records)
+    code, out = invoke("table", "--n-min", "3", "--n-max", "4", "--jobs", "1", "--format", "json")
+    assert code == 0
+    assert not any("ms" in r for r in json.loads(out))
 
 
 def test_fiber_dim_with_rank_check():
@@ -126,7 +141,7 @@ def test_json_and_csv_deterministic():
 def test_invariant_failure_exits_1(monkeypatch, capsys):
     import cycle_rees.rees as rees
 
-    monkeypatch.setattr(rees, "pfaffian", lambda matrix: Polynomial.one(matrix.ring))
+    monkeypatch.setattr(rees, "pfaffian", lambda matrix: parse_polynomial(matrix.ring, "1"))
     code, _ = invoke("pfaffian", "--n", "6")
     assert code == 1
     assert "Pfaffian does not match" in capsys.readouterr().err

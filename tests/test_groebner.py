@@ -66,24 +66,24 @@ def test_g2_membership_needs_a_groebner_basis():
     raw = [fam[f"f{j}"] for j in range(1, 6)] + [fam["g1"]]
     assert normal_form(fam["g2"], raw, order) == fam["g2"]
     assert ideal_membership(fam["g2"], Ideal(ring, raw), order)
-    assert normal_form(fam["g2"], list(buchberger(raw, order)), order).is_zero()
+    assert not normal_form(fam["g2"], list(buchberger(raw, order)), order)
 
 
 def test_normal_form_self_reduction():
     fam = family_n_minus_2(6)
     basis = list(fam.values())
-    assert normal_form(fam["f3"], basis, product_order(cycle_ring(6))).is_zero()
+    assert not normal_form(fam["f3"], basis, product_order(cycle_ring(6)))
 
 
 def test_normal_form_irreducible_variable():
     ring = cycle_ring(6)
-    y0 = Polynomial.variable(ring, "y0")
+    y0 = parse_polynomial(ring, "y0")
     assert normal_form(y0, fam_polys(6), product_order(ring)) == y0
 
 
 def test_buchberger_principal_monomial():
     ring = cycle_ring(4)
-    y1 = Polynomial.variable(ring, "y1")
+    y1 = parse_polynomial(ring, "y1")
     assert buchberger([y1], product_order(ring)) == (y1,)
 
 
@@ -117,7 +117,7 @@ def test_half_family_is_already_a_basis():
 def test_is_groebner_basis_coprime_monomials():
     ring = cycle_ring(4)
     ok, _ = is_groebner_basis(
-        [Polynomial.variable(ring, "y1"), Polynomial.variable(ring, "y2")], product_order(ring)
+        [parse_polynomial(ring, "y1"), parse_polynomial(ring, "y2")], product_order(ring)
     )
     assert ok
 
@@ -129,7 +129,7 @@ def test_is_groebner_basis_certificate_on_gap():
     ok, cert = is_groebner_basis(broken, product_order(cycle_ring(8)))
     assert not ok
     i, j, remainder = cert
-    assert not remainder.is_zero()
+    assert remainder
     assert 0 <= i < j < len(broken)
     full = list(fam.values())
     ok_full, _ = is_groebner_basis(full, product_order(cycle_ring(8)))
@@ -150,7 +150,7 @@ def test_engine_rejects_mismatched_or_zero_input():
     with pytest.raises(RingError, match="basis polynomial in a different ring"):
         normal_form(f, [g])
     with pytest.raises(RingError, match="zero polynomial in reduction basis"):
-        normal_form(f, [parse_polynomial(ab, "b"), Polynomial.zero(ab)])
+        normal_form(f, [parse_polynomial(ab, "b"), parse_polynomial(ab, "0")])
     with pytest.raises(RingError, match="polynomial and ideal live in different rings"):
         ideal_membership(f, Ideal(cd, [g]))
     with pytest.raises(RingError, match="ideals live in different rings"):
@@ -291,7 +291,8 @@ def test_membership_examples(rees_cache, sym_cache):
     J = rees_cache(6, 4)
     h = parse_polynomial(ring, "y1*y3*y5 - y0*y2*y4")
     assert ideal_membership(h, J, order)
-    assert ideal_membership(Polynomial.zero(ring), J, order)
+    assert ideal_membership(parse_polynomial(ring, "0"), J, order)
+    assert not ideal_membership(h, Ideal(ring, []), order)
     ring5 = cycle_ring(5)
     J5 = rees_cache(5, 3)
     probe = parse_polynomial(ring5, "y1*y3 - y0*y2")
@@ -392,7 +393,7 @@ def test_reduced_basis_unique_under_shuffles():
     rng = random.Random(7)
     for _ in range(50):
         gens = [random_poly(rng) for _ in range(rng.randint(1, 3))]
-        gens = [g for g in gens if not g.is_zero()]
+        gens = [g for g in gens if g]
         if not gens:
             continue
         gb1 = buchberger(gens, order)
@@ -407,11 +408,11 @@ def test_membership_of_constructed_combinations():
     rng = random.Random(11)
     for _ in range(50):
         gens = [random_poly(rng) for _ in range(2)]
-        gens = [g for g in gens if not g.is_zero()]
+        gens = [g for g in gens if g]
         if not gens:
             continue
         ideal = Ideal(SMALL_RING, gens)
-        combo = Polynomial.zero(SMALL_RING)
+        combo = Polynomial(SMALL_RING, {})
         for g in gens:
             combo = combo + random_poly(rng) * g
         assert ideal_membership(combo, ideal, order)
@@ -433,7 +434,7 @@ def test_buchberger_output_passes_checker():
     rng = random.Random(13)
     for _ in range(25):
         gens = [random_poly(rng) for _ in range(2)]
-        gens = [g for g in gens if not g.is_zero()]
+        gens = [g for g in gens if g]
         if not gens:
             continue
         gb = buchberger(gens, order)
@@ -459,7 +460,7 @@ def test_engine_results_keep_integral_coefficients_as_ints(rees_cache):
     ab = RingSpec((("X", ("a", "b")),))
     two_b = normal_form(parse_polynomial(ab, "a"), [parse_polynomial(ab, "2*a - 4*b")])
     assert two_b == parse_polynomial(ab, "2*b")
-    assert not remainder.is_zero()
+    assert remainder
     assert all(type(c) is int for g in (*gb, remainder, two_b) for c in g.terms.values())
 
 
@@ -511,11 +512,11 @@ def test_checker_matches_all_pairs_oracle(polys, base):
     assert ok == is_groebner_basis_all_pairs(polys, order)
     if not ok:
         i, j, remainder = cert
-        nonzero = [g for g in polys if not g.is_zero()]
+        nonzero = [g for g in polys if g]
         assert 0 <= i < j < len(nonzero)
-        assert not remainder.is_zero()
+        assert remainder
         assert normal_form(remainder, nonzero, order) == remainder
-        assert normal_form(remainder, list(buchberger(polys, order)), order).is_zero()
+        assert not normal_form(remainder, list(buchberger(polys, order)), order)
 
 
 # exponents from both ends of a packed field, so that divisibility is common
@@ -580,11 +581,11 @@ def test_queued_lcms_pack_as_lead_plus_excess(leads, base):
 def test_packed_lead_exponent_limit():
     ring = RingSpec((("X", ("a", "b")),))
     order = OrderSpec(((("X",), "grevlex"),))
-    top = Polynomial.monomial(ring, (2**15 - 1, 0))
+    top = Polynomial(ring, {(2**15 - 1, 0): 1})
     assert buchberger([top], order) == (top,)
-    assert normal_form(top, [Polynomial.monomial(ring, (0, 1))], order) == top
+    assert normal_form(top, [parse_polynomial(ring, "b")], order) == top
     for e in (2**15, 2**16):
-        big = Polynomial.monomial(ring, (1, e))
+        big = Polynomial(ring, {(1, e): 1})
         with pytest.raises(RingError, match="32767"):
             buchberger([big], order)
         with pytest.raises(RingError, match="32767"):

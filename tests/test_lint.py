@@ -211,3 +211,18 @@ def test_ideal_functions_of_rees_return_an_ideal():
     assert "sym_relations" in made and "artinian_reduction_ideal" in made
     wrong = {name: returns for name, returns in made.items() if returns != "Ideal"}
     assert not wrong, f"ideal functions not annotated -> Ideal: {wrong}"
+
+
+def test_public_classes_have_one_constructor():
+    """A value type is built one way, by calling its class: no public class
+    defines a classmethod or staticmethod, which would be a second route."""
+    alternate = [
+        f"{node.name}.{item.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name in cycle_rees.__all__
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and any(getattr(d, "id", None) in ("classmethod", "staticmethod") for d in item.decorator_list)
+    ]
+    assert not alternate, f"classmethod or staticmethod on a public class: {alternate}"

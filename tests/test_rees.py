@@ -215,26 +215,26 @@ def test_gb_certificate_roundtrip():
 
 def test_jacobian_dual_structure():
     A = jacobian_dual(4)
-    assert A.size == 4
+    assert len(A.rows) == 4
     assert A.is_skew_symmetric()
     for i in range(4):
-        assert A[i, i].is_zero()
+        assert not A[i, i]
     with pytest.raises(ValueError):
         jacobian_dual(5)
 
 
 def test_pfaffian_2x2():
     ring = y_ring(4)
-    a = Polynomial.variable(ring, "y1")
-    zero = Polynomial.zero(ring)
+    a = parse_polynomial(ring, "y1")
+    zero = parse_polynomial(ring, "0")
     m = PolyMatrix(ring, [[zero, a], [-a, zero]])
     assert pfaffian(m) == a
 
 
 def test_pfaffian_rejects_bad_input():
     ring = y_ring(4)
-    one = Polynomial.one(ring)
-    zero = Polynomial.zero(ring)
+    one = parse_polynomial(ring, "1")
+    zero = parse_polynomial(ring, "0")
     with pytest.raises(ValueError):
         pfaffian(PolyMatrix(ring, [[zero, one], [one, zero]]))  # not skew
     with pytest.raises(ValueError):
@@ -246,17 +246,9 @@ def test_pfaffian_equals_fiber_relation_up_to_sign():
         sign, pf = pfaffian_fiber_sign(n)
         assert sign in (1, -1)
         ring = y_ring(n)
-        odd = {f"y{i % n}": 1 for i in range(n) if i % 2 == 1}
-        even = {f"y{i % n}": 1 for i in range(n) if i % 2 == 0}
-
-        def mono(d):
-            exps = [0] * ring.nvars
-            for name, e in d.items():
-                exps[ring.var_index[name]] = e
-            return Polynomial.monomial(ring, tuple(exps))
-
-        h = mono(odd) - mono(even)
-        assert pf == h * sign
+        odd = "*".join(f"y{i}" for i in range(1, n, 2))
+        even = "*".join(f"y{i}" for i in range(0, n, 2))
+        assert pf == parse_polynomial(ring, f"{odd} - {even}") * sign
 
 
 def test_pfaffian_squared_is_determinant():
@@ -265,12 +257,11 @@ def test_pfaffian_squared_is_determinant():
 
     def rand_entry():
         exps = tuple(rng.randint(0, 1) for _ in range(3))
-        return Polynomial.monomial(ring, exps, rng.choice([-2, -1, 1, 2]))
+        return Polynomial(ring, {exps: rng.choice([-2, -1, 1, 2])})
 
     for size in (4, 6):
         for _ in range(5):
-            zero = Polynomial.zero(ring)
-            rows = [[zero for _ in range(size)] for _ in range(size)]
+            rows = [[Polynomial(ring, {}) for _ in range(size)] for _ in range(size)]
             for i in range(size):
                 for j in range(i + 1, size):
                     e = rand_entry()
@@ -317,4 +308,4 @@ def test_rees_and_fiber_ideals_are_rotation_invariant(n, t, rees_cache, fiber_ca
         order = product_order(ideal.ring)
         basis = ideal.groebner_basis(order)
         for g in basis:
-            assert normal_form(rotate(g, n), basis, order).is_zero(), g.to_text()
+            assert not normal_form(rotate(g, n), basis, order), g.to_text()
