@@ -244,11 +244,22 @@ NEITHER_WITNESSES = {
 }
 
 
-def test_every_neither_witness_of_rows_7_to_13_is_isolated():
-    cells = [(n, t) for n, row in KNOWN_GRID.items() for t, glyph in enumerate(row, 1) if glyph == "×"]
-    assert cells == list(NEITHER_WITNESSES)
-    for (n, t), text in NEITHER_WITNESSES.items():
-        assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), text))
+def assert_neither_witnesses_isolated(rows: range) -> None:
+    """The pins of rows are exactly their neither cells, and each is certified."""
+    cells = [(n, t) for n in rows for t, glyph in enumerate(KNOWN_GRID[n], 1) if glyph == "×"]
+    assert cells == [cell for cell in NEITHER_WITNESSES if cell[0] in rows]
+    for n, t in cells:
+        assert_in_j_outside_l_plus_h(PathIdealSpec(n, t), parse_polynomial(cycle_ring(n), NEITHER_WITNESSES[n, t]))
+
+
+def test_every_neither_witness_to_n_10_is_isolated():
+    assert min(KNOWN_GRID) == 3 and min(n for n, _ in NEITHER_WITNESSES) == 7
+    assert_neither_witnesses_isolated(range(3, 11))
+
+
+def test_every_neither_witness_of_rows_11_to_13_is_isolated():
+    assert max(KNOWN_GRID) == 13 and max(n for n, _ in NEITHER_WITNESSES) == 13
+    assert_neither_witnesses_isolated(range(11, 14))
 
 
 def test_every_cell_of_rows_3_to_13_not_of_linear_type_has_a_certificate():
