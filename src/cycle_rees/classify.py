@@ -24,9 +24,10 @@ from math import comb, gcd
 from .groebner import Budget, BudgetExceeded, Ideal, _reducer, ideal_equal, ideal_membership
 from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
-from .orders import product_order
-from .rees import PathIdealSpec, artinian_reduction_ideal, fiber_ideal, rees_ideal, sym_relations
-from .rings import InvariantError
+from .orders import grevlex_order, product_order
+from .rees import PathIdealSpec, artinian_reduction_ideal, certify_rees, family_n_minus_2, fiber_ideal, rees_ideal
+from .rees import sym_relations
+from .rings import InvariantError, cycle_ring
 
 
 def fiber_dimension(n: int, t: int) -> int:
@@ -188,10 +189,11 @@ def hilbert_closed_form_n_minus_2(n: int) -> HilbertSeries:
 
 
 def verify_hilbert(n: int, budget: Budget | None = None) -> bool:
-    """Check the pivot-recursion series of in(J) against the closed form."""
-    spec = PathIdealSpec(n, n - 2)
-    J = rees_ideal(spec, budget)
-    K = initial_ideal(J, product_order(J.ring), budget)
+    """Certify the t = n-2 family as J; its grevlex initial ideal must have the closed-form series."""
+    F = Ideal(cycle_ring(n), family_n_minus_2(n).values())
+    if certify_rees(PathIdealSpec(n, n - 2), F, budget) is not None:
+        return False
+    K = initial_ideal(F, grevlex_order(F.ring), budget)
     return hilbert_numerator(K, budget=budget) == hilbert_closed_form_n_minus_2(n)
 
 

@@ -5,13 +5,13 @@ order (``lex`` or ``grevlex``).  Monomials are compared stage by stage, so a
 stage over an early block dominates everything after it.  Stages must cover
 every block of the ring exactly once, which makes the order total.
 
-The two orders that matter here:
+The orders that matter here:
 
 * the product order that compares the Y part by graded reverse lex with
   priority ``y1 > y2 > ... > y0`` and breaks ties by lex on the X part with
   ``x1 > x2 > ... > x0``;
 * its elimination variants, where the variables to be eliminated form the
-  leading stage.
+  leading stage; and one grevlex stage over the whole ring.
 """
 
 from __future__ import annotations
@@ -119,6 +119,11 @@ def product_order(ring: RingSpec) -> OrderSpec:
 def canonical_order(ring: RingSpec) -> OrderSpec:
     """Default order for a ring: Y by grevlex, then X by lex, then the rest."""
     return elimination_order(ring, ())
+
+
+def grevlex_order(ring: RingSpec) -> OrderSpec:
+    """One grevlex stage over every block in ring order; the last variable is the smallest."""
+    return OrderSpec(((ring.block_names, "grevlex"),))
 
 
 def elimination_order(ring: RingSpec, drop_blocks: tuple[str, ...]) -> OrderSpec:

@@ -1,10 +1,10 @@
 """Ideals attached to the t-path ideal of an n-cycle.
 
-Constructs the path ideal itself, the symmetric-algebra relations, the Rees
-ideal (by eliminating the auxiliary variable s from the graph of the monomial
-map), the fiber relations, the two explicit binomial families (for t = n-2
-and t = n/2), the ideal of the Artinian reduction for odd n, and the skew
-relation matrix of the Jacobian dual together with its Pfaffian.
+Constructs the path ideal, the symmetric-algebra relations, the Rees ideal
+(by eliminating s from the graph of the monomial map) and a check that a
+candidate ideal equals it, the fiber relations, the two explicit binomial
+families (for t = n-2 and t = n/2), the ideal of the Artinian reduction for
+odd n, and the skew relation matrix of the Jacobian dual with its Pfaffian.
 
 Index convention: subscripts of both x and y are cyclic modulo n, with x0 and
 xn naming the same variable.  Generator j of the path ideal is the window
@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groebner import Budget, Ideal, eliminate
+from .groebner import Budget, Ideal, _reducer, eliminate
+from .orders import grevlex_order
 from .rings import Exponents, InvariantError, Polynomial, RingError, RingSpec, cycle_ring, x_ring, y_ring
 
 
@@ -97,6 +98,36 @@ def rees_ideal(spec: PathIdealSpec, budget: Budget | None = None) -> Ideal:
     basis under the product order.
     """
     return eliminate(graph_ideal(spec), ["S"], budget)
+
+
+def certify_rees(spec: PathIdealSpec, F: Ideal, budget: Budget | None = None) -> str | None:
+    """None exactly when F is the Rees ideal J, else the first check that fails.
+
+    "image": the generators are homogeneous and map to 0 under y_j -> u_j s.
+    "saturated": no element of the reduced grevlex basis is divisible by the
+    last variable x0, so F : x0^oo = F (Bayer-Stillman).  "rotation": x_i ->
+    x_{i+1}, y_i -> y_{i+1} maps F into F, so F is saturated by every x_i.
+    "symmetric": L lies in F.  So J = L : x^oo lies in F : x^oo = F, within J.
+    """
+    n, t, ring = spec.n, spec.t, F.ring
+    if ring != cycle_ring(n):
+        raise RingError("the candidate ideal must live in the cycle ring")
+    phi = {v: [*_x(n, *range(int(v[1:]), int(v[1:]) + t)), "s"] if v[0] == "y" else [v] for v in ring.variables}
+    for g in F.generators:
+        image: dict[tuple[str, ...], int] = {}
+        for e, c in g.terms.items():
+            m = tuple(sorted(w for v, k in zip(ring.variables, e) for w in phi[v] * k))
+            image[m] = image.get(m, 0) + c
+        if len({sum(e) for e in g.terms}) > 1 or any(image.values()):
+            return "image"
+    order = grevlex_order(ring)
+    if any(all(e[ring.var_index["x0"]] for e in g.terms) for g in F.groebner_basis(order, budget)):
+        return "saturated"
+    reduce = _reducer(ring, F, order, budget)
+    back = [ring.var_index[f"{v[0]}{(int(v[1:]) - 1) % n}"] for v in ring.variables]
+    if any(reduce({tuple(e[k] for k in back): c for e, c in g.terms.items()}) for g in F.generators):
+        return "rotation"
+    return "symmetric" if any(reduce(g.terms) for g in sym_relations(spec).generators) else None
 
 
 def fiber_ideal(J: Ideal, budget: Budget | None = None) -> Ideal:

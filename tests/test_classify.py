@@ -312,6 +312,31 @@ def test_verify_hilbert_small():
         assert verify_hilbert(n), n
 
 
+@pytest.mark.parametrize("n", range(11, 21))
+def test_verify_hilbert_beyond_the_computed_rees_ideals(n):
+    assert verify_hilbert(n)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_eliminated_rees_ideal_has_the_closed_form_series(n, rees_cache):
+    """The route independent of the certificate: J by eliminating s, its
+    initial ideal under the product order, then the pivot recursion."""
+    J = rees_cache(n, n - 2)
+    K = initial_ideal(J, product_order(J.ring))
+    assert hilbert_numerator(K) == hilbert_closed_form_n_minus_2(n)
+
+
+def test_verify_hilbert_is_false_when_the_certificate_fails(monkeypatch):
+    # the family's series still matches; only the certificate says no
+    monkeypatch.setattr(importlib.import_module("cycle_rees.classify"), "certify_rees", lambda *args: "rotation")
+    assert verify_hilbert(6) is False
+
+
+def test_verify_hilbert_honours_the_budget():
+    with pytest.raises(BudgetExceeded):
+        verify_hilbert(10, Budget(max_steps=1))
+
+
 @pytest.mark.parametrize("n", range(3, 31))
 def test_family_leads_have_the_closed_form_series(n):
     """The leading monomials of the t = n-2 family under the product order

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import os
@@ -191,6 +192,16 @@ def test_failed_check_exits_1(monkeypatch, name, fake, argv, text, json_text):
     monkeypatch.setattr(cli, name, fake)
     assert invoke(*argv) == (1, text)
     assert invoke(*argv, "--format", "json") == (1, json_text)
+
+
+def test_failed_hilbert_certificate_exits_1(monkeypatch):
+    # without f1 the family generates less than J, so the certificate fails
+    module = importlib.import_module("cycle_rees.classify")
+    full = module.family_n_minus_2
+    monkeypatch.setattr(module, "family_n_minus_2", lambda n: {k: p for k, p in full(n).items() if k != "f1"})
+    assert module.verify_hilbert(6) is False
+    text = "(1 + 5*z + 9*z^2 + 5*z^3 + z^4) / (1-z)^7\ninitial-ideal recomputation: MISMATCH\n"
+    assert invoke("hilbert", "--n", "6", "--verify") == (1, text)
 
 
 def test_budget_env_var(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycle_rees.groebner import Budget, _Engine
-from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
+from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, grevlex_order, product_order
 from cycle_rees.rees import PathIdealSpec, artinian_reduction_ideal, graph_ideal
 from cycle_rees.rings import RingError, RingSpec, cycle_ring, mono_divides, mono_mul, parse_polynomial
 
@@ -162,6 +162,27 @@ def test_packed_monomials_sort_in_term_order(ring, order, data):
     assert (pa > pb) - (pa < pb) == (ref(a) > ref(b)) - (ref(a) < ref(b))
     low = engine.exponents
     assert packed_divides(pa & low, pb & low, engine.guard) == mono_divides(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+@given(data=st.data())
+def test_grevlex_order_makes_x0_the_smallest_variable(n, data):
+    """Grevlex read off the definition: the larger degree wins, and at equal
+    degree the monomial with the smaller exponent in the last variable where
+    the two differ wins; the ring's last variable is x0."""
+    ring = cycle_ring(n)
+    assert ring.variables[-1] == "x0"
+    exps = st.tuples(*([st.integers(min_value=0, max_value=3)] * ring.nvars))
+    a = data.draw(exps)
+    b = data.draw(st.one_of(exps, st.permutations(a).map(tuple)))
+    diff = [i for i in range(ring.nvars) if a[i] != b[i]]
+    if sum(a) != sum(b):
+        expected = 1 if sum(a) > sum(b) else -1
+    elif diff:
+        expected = 1 if a[diff[-1]] < b[diff[-1]] else -1
+    else:
+        expected = 0
+    assert compare(grevlex_order(ring), ring, a, b) == expected
 
 
 def test_key_is_compiled_once_per_order_and_ring():

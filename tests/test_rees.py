@@ -14,6 +14,7 @@ from cycle_rees.orders import product_order
 from cycle_rees.rees import (
     PathIdealSpec,
     PolyMatrix,
+    certify_rees,
     family_half,
     family_n_minus_2,
     fiber_ideal_closed_form,
@@ -24,9 +25,9 @@ from cycle_rees.rees import (
     pfaffian_fiber_sign,
     sym_relations,
 )
-from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, parse_polynomial, y_ring
+from cycle_rees.rings import Polynomial, RingError, RingSpec, cycle_ring, parse_polynomial, y_ring
 
-from oracles import determinant, lcm_syzygies, rees_image
+from oracles import KNOWN_GRID, determinant, lcm_syzygies, rees_image
 
 
 def texts(ideal: Ideal) -> set[str]:
@@ -175,6 +176,78 @@ def test_family_generates_rees_ideal(rees_cache):
     for n in (6, 8):
         fam = Ideal(cycle_ring(n), list(family_half(n).values()))
         assert ideal_equal(fam, rees_cache(n, n // 2))
+
+
+# -- certifying a candidate as the Rees ideal, without eliminating s --
+
+
+def family_ideal(n: int, build=family_n_minus_2) -> Ideal:
+    return Ideal(cycle_ring(n), build(n).values())
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_certificate_agrees_with_elimination_on_each_dropped_member(n, rees_cache):
+    """Drop one member of the t = n-2 family: the certificate holds exactly
+    when the rest still generates the J that elimination computes."""
+    spec, fam, J = PathIdealSpec(n, n - 2), family_n_minus_2(n), rees_cache(n, n - 2)
+    redundant = set()
+    for name in fam:
+        F = Ideal(cycle_ring(n), [p for other, p in fam.items() if other != name])
+        verdict = certify_rees(spec, F)
+        assert (verdict is None) == ideal_equal(F, J), (n, name, verdict)
+        assert verdict in (None, "saturated", "rotation"), (n, name, verdict)
+        if verdict is None:
+            redundant.add(name)
+    # g_1 is needed, the later g_k follow from it and the f_j
+    assert redundant == {f"g{k}" for k in range(2, n // 2 + 1)}
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_symmetric_relations_certify_exactly_at_the_linear_cells(n):
+    # at t = n-2 the linear cells are the odd rows; at even rows L is not
+    # saturated, since J needs the fiber relation h
+    spec = PathIdealSpec(n, n - 2)
+    linear = KNOWN_GRID[n][n - 3] == "L"
+    assert linear == (n % 2 == 1)
+    assert certify_rees(spec, sym_relations(spec)) == (None if linear else "saturated")
+
+
+def test_certificate_rejects_a_generator_outside_J():
+    n, ring = 6, cycle_ring(6)
+    spec = PathIdealSpec(n, n - 2)
+    outside = parse_polynomial(ring, "x1*y1 - x2*y2")
+    m1, m2 = outside.terms
+    assert rees_image(spec, m1) != rees_image(spec, m2)
+    assert certify_rees(spec, Ideal(ring, [*family_n_minus_2(n).values(), outside])) == "image"
+    # each homogeneous part of f1 + x1*f2 lies in J, but the whole is not
+    # homogeneous, which the saturation test needs
+    fam = family_n_minus_2(n)
+    mixed = fam["f1"] + parse_polynomial(ring, "x1") * fam["f2"]
+    assert certify_rees(spec, Ideal(ring, [mixed, *fam.values()])) == "image"
+
+
+def test_certificate_needs_the_symmetric_relations():
+    # (h) and the zero ideal lie in J, are saturated and rotation-invariant,
+    # yet miss L
+    n, ring = 6, cycle_ring(6)
+    spec = PathIdealSpec(n, n - 2)
+    assert certify_rees(spec, Ideal(ring, [family_n_minus_2(n)["h"]])) == "symmetric"
+    assert certify_rees(spec, Ideal(ring, [])) == "symmetric"
+
+
+def test_certificate_needs_the_cycle_ring():
+    with pytest.raises(RingError):
+        certify_rees(PathIdealSpec(5, 3), family_ideal(6))
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_family_n_minus_2_is_certified_as_the_rees_ideal(n):
+    assert certify_rees(PathIdealSpec(n, n - 2), family_ideal(n)) is None
+
+
+@pytest.mark.parametrize("n", range(4, 21, 2))
+def test_family_half_is_certified_as_the_rees_ideal(n):
+    assert certify_rees(PathIdealSpec(n, n // 2), family_ideal(n, family_half)) is None
 
 
 def test_rees_generators_y_degree(rees_cache):
