@@ -50,25 +50,11 @@ EXIT_BUDGET = 3
 _Result = tuple[object, str, int]
 
 
-BUDGET_ENV = "CYCLE_REES_BUDGET_SECS"
-
-
 def _budget_secs(args: argparse.Namespace) -> float:
-    """Seconds per computation: --budget-secs, else $CYCLE_REES_BUDGET_SECS, else 60."""
-    if args.budget_secs is not None:
-        if args.budget_secs > 0:
-            return args.budget_secs
-        raise ValueError(f"--budget-secs must be a positive number of seconds, got {args.budget_secs!r}")
-    env = os.environ.get(BUDGET_ENV)
-    if not env:
-        return 60.0
-    try:
-        value = float(env)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{BUDGET_ENV} must be a positive number of seconds, got {env!r}")
+    """Seconds per computation, from --budget-secs."""
+    if args.budget_secs > 0:
+        return args.budget_secs
+    raise ValueError(f"--budget-secs must be a positive number of seconds, got {args.budget_secs!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, indent=indent)
         p.add_argument("--format", choices=formats, default="text")
         if budget:
-            p.add_argument("--budget-secs", type=float, default=None, help="per-computation budget (default 60 or $CYCLE_REES_BUDGET_SECS)")
+            p.add_argument("--budget-secs", type=float, default=60.0, help="per-computation budget in seconds (default 60)")
 
     p = sub.add_parser("classify", help="classify one (n, t) cell")
     p.add_argument("--n", type=int, required=True)
@@ -112,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert series of the Rees algebra at t = n-2")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="recompute from the initial ideal and compare")
+    p.add_argument("--verify", action="store_true", help="certify the t = n-2 family as J and compare the series of its grevlex initial ideal with the closed form")
     declare(p, _cmd_hilbert)
 
     p = sub.add_parser("cm-type", help="Cohen-Macaulay type of the Rees algebra, odd n")

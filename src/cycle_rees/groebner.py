@@ -527,25 +527,17 @@ def gb_certificate(
     return {"order": order.describe(), "basis": [g.to_text(order.key_function(g.ring)) for g in basis]}
 
 
-def eliminate(
-    ideal: Ideal,
-    drop_blocks: Sequence[str],
-    budget: Budget | None = None,
-) -> Ideal:
-    """Intersection with the subring omitting ``drop_blocks``.
+def eliminate(ideal: Ideal, block: str, budget: Budget | None = None) -> Ideal:
+    """Intersection with the subring omitting ``block``.
 
-    Computes a Groebner basis under an order whose leading stages isolate the
-    dropped blocks; basis elements free of those variables generate (and are a
-    reduced basis of) the intersection ideal.
+    Computes a Groebner basis under an order whose leading stage isolates the
+    block; basis elements free of its variables generate (and are a reduced
+    basis of) the intersection ideal.
     """
-    drop = tuple(drop_blocks)
-    if not drop:
-        return ideal
     ring = ideal.ring
-    order = elimination_order(ring, drop)
-    gb = ideal.groebner_basis(order, budget)
-    subring = ring.restrict(b for b in ring.block_names if b not in drop)
-    dropped = [i for b in drop for i in ring.block_indices(b)]
+    gb = ideal.groebner_basis(elimination_order(ring, block), budget)
+    subring = ring.without(block)
+    dropped = ring.block_indices(block)
     projected = tuple(g.to_ring(subring) for g in gb if not any(e[i] for e in g.terms for i in dropped))
     result = Ideal(subring, projected)
     result._gb_cache[canonical_order(subring)] = projected

@@ -10,7 +10,7 @@ The orders that matter here:
 * the product order that compares the Y part by graded reverse lex with
   priority ``y1 > y2 > ... > y0`` and breaks ties by lex on the X part with
   ``x1 > x2 > ... > x0``;
-* its elimination variants, where the variables to be eliminated form the
+* its elimination variants, where the one block to be eliminated forms the
   leading stage; and one grevlex stage over the whole ring.
 """
 
@@ -117,8 +117,9 @@ def product_order(ring: RingSpec) -> OrderSpec:
 
 
 def canonical_order(ring: RingSpec) -> OrderSpec:
-    """Default order for a ring: Y by grevlex, then X by lex, then the rest."""
-    return elimination_order(ring, ())
+    """Default order for a ring: Y by grevlex, then X by lex, then the rest by lex."""
+    blocks = sorted(ring.block_names, key=lambda b: {"Y": 0, "X": 1}.get(b, 2))
+    return OrderSpec(tuple(((b,), "grevlex" if b == "Y" else "lex") for b in blocks))
 
 
 def grevlex_order(ring: RingSpec) -> OrderSpec:
@@ -126,16 +127,6 @@ def grevlex_order(ring: RingSpec) -> OrderSpec:
     return OrderSpec(((ring.block_names, "grevlex"),))
 
 
-def elimination_order(ring: RingSpec, drop_blocks: tuple[str, ...]) -> OrderSpec:
-    """Order whose leading stages isolate ``drop_blocks`` for elimination.
-
-    The dropped blocks lead by grevlex; the kept blocks follow as Y by
-    grevlex, then X by lex, then any other block by lex.
-    """
-    for b in drop_blocks:
-        if b not in ring.block_names:
-            raise RingError(f"no block {b!r} to eliminate")
-    rest = sorted((b for b in ring.block_names if b not in drop_blocks), key=lambda b: {"Y": 0, "X": 1}.get(b, 2))
-    stages = [((b,), "grevlex") for b in drop_blocks]
-    stages.extend(((b,), "grevlex" if b == "Y" else "lex") for b in rest)
-    return OrderSpec(tuple(stages))
+def elimination_order(ring: RingSpec, block: str) -> OrderSpec:
+    """Order that eliminates ``block``: it leads by grevlex, then the rest in canonical order."""
+    return OrderSpec((((block,), "grevlex"), *canonical_order(ring.without(block)).stages))

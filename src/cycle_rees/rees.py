@@ -97,7 +97,7 @@ def rees_ideal(spec: PathIdealSpec, budget: Budget | None = None) -> Ideal:
     The returned ideal lives in K[y, x] and carries its reduced Groebner
     basis under the product order.
     """
-    return eliminate(graph_ideal(spec), ["S"], budget)
+    return eliminate(graph_ideal(spec), "S", budget)
 
 
 def certify_rees(spec: PathIdealSpec, F: Ideal, budget: Budget | None = None) -> str | None:
@@ -132,7 +132,7 @@ def certify_rees(spec: PathIdealSpec, F: Ideal, budget: Budget | None = None) ->
 
 def fiber_ideal(J: Ideal, budget: Budget | None = None) -> Ideal:
     """The fiber relations: intersection of the Rees ideal J with K[y]."""
-    return eliminate(J, ["X"], budget)
+    return eliminate(J, "X", budget)
 
 
 def fiber_ideal_closed_form(spec: PathIdealSpec) -> Ideal:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, le
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Exponents = tuple[int, ...]
 
@@ -82,13 +82,11 @@ class RingSpec:
         blocks = sorted(self.blocks, key=lambda b: preference.get(b[0], 2))
         return tuple(self.var_index[v] for _, names in blocks for v in sorted(names, key=suffix))
 
-    def restrict(self, keep_blocks: Iterable[str]) -> "RingSpec":
-        """Subring on the given blocks, in this ring's block order."""
-        keep = set(keep_blocks)
-        unknown = keep - set(self.block_names)
-        if unknown:
-            raise RingError(f"unknown blocks {sorted(unknown)}")
-        return RingSpec(tuple((name, names) for name, names in self.blocks if name in keep))
+    def without(self, block: str) -> "RingSpec":
+        """Subring on every block but ``block``, in this ring's block order."""
+        if block not in self.block_names:
+            raise RingError(f"no block {block!r}")
+        return RingSpec(tuple(b for b in self.blocks if b[0] != block))
 
 
 def cycle_ring(n: int) -> RingSpec:
@@ -105,11 +103,11 @@ def cycle_ring(n: int) -> RingSpec:
 
 
 def x_ring(n: int) -> RingSpec:
-    return cycle_ring(n).restrict(["X"])
+    return cycle_ring(n).without("Y")
 
 
 def y_ring(n: int) -> RingSpec:
-    return cycle_ring(n).restrict(["Y"])
+    return cycle_ring(n).without("X")
 
 
 # -- monomial helpers (monomials are plain exponent tuples) --

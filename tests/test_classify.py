@@ -130,7 +130,7 @@ Y4 = y_ring(4)
         (lambda: cycle_ring(2), RingError),
         (lambda: cycle_ring(4).block_indices("Q"), RingError),
         (lambda: OrderSpec((((), "lex"),)), RingError),
-        (lambda: elimination_order(cycle_ring(4), ("Q",)), RingError),
+        (lambda: elimination_order(cycle_ring(4), "Q"), RingError),
         (lambda: PolyMatrix(Y4, [[parse_polynomial(Y4, "y1")]] * 2), ValueError),
         (lambda: PolyMatrix(Y4, [[parse_polynomial(cycle_ring(4), "x1")]]), RingError),
         (lambda: render_table([]), ""),

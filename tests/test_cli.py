@@ -204,27 +204,14 @@ def test_failed_hilbert_certificate_exits_1(monkeypatch):
     assert invoke("hilbert", "--n", "6", "--verify") == (1, text)
 
 
-def test_budget_env_var(monkeypatch, capsys):
-    for bad in ("abc", "0", "-1"):
-        monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", bad)
-        code, _ = invoke("cm-type", "--n", "5")
-        assert code == 2, bad
-        assert "CYCLE_REES_BUDGET_SECS" in capsys.readouterr().err
-    for good in ("", "30"):
-        monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", good)
-        code, out = invoke("cm-type", "--n", "5")
-        assert code == 0 and out.strip() == "2", good
-
-
-def test_ideal_reads_the_budget_only_for_eliminations(monkeypatch, capsys):
-    monkeypatch.setenv("CYCLE_REES_BUDGET_SECS", "abc")
+def test_ideal_reads_the_budget_only_for_eliminations(capsys):
     for which in ("path", "sym", "family"):
-        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which)
+        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which, "--budget-secs", "0")
         assert code == 0 and out, which
     for which in ("rees", "fiber"):
-        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which)
+        code, out = invoke("ideal", "--n", "6", "--t", "4", "--which", which, "--budget-secs", "0")
         assert code == 2 and out == "", which
-        assert "CYCLE_REES_BUDGET_SECS" in capsys.readouterr().err
+        assert "--budget-secs" in capsys.readouterr().err
 
 
 def test_budget_secs_flag_must_be_positive(capsys):

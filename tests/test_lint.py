@@ -186,6 +186,21 @@ def test_no_global_statement_and_no_module_budget():
     assert not budgets, f"module-level Budget: {budgets}"
 
 
+def test_package_reads_no_environment():
+    """The package takes its settings from its arguments alone: no module
+    reads ``os.environ`` or ``os.getenv``.  Test-only switches such as
+    ``CYCLE_REES_STRETCH`` are read by the tests."""
+    names = ("environ", "getenv")
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in names for a in node.names))
+    ]
+    assert not reads, f"environment read: {reads}"
+
+
 def test_only_orders_builds_an_order():
     """One owner for the order rule: every other module takes its orders from
     the functions of ``orders``, never from stages it spells out itself."""

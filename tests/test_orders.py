@@ -50,10 +50,21 @@ def test_x_lex_breaks_ties():
 
 
 def test_elimination_order_puts_s_first():
-    order = elimination_order(S4, ("S",))
+    order = elimination_order(S4, "S")
     s = mono(S4, "s")
     big = mono(S4, "y1^5*x1^5")
     assert compare(order, S4, s, big) == 1
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_elimination_orders_keep_their_stages(n):
+    """The two eliminations: s from the graph ideal, then x from J."""
+    assert elimination_order(graph_ideal(PathIdealSpec(n, 2)).ring, "S").stages == (
+        (("S",), "grevlex"),
+        (("Y",), "grevlex"),
+        (("X",), "lex"),
+    )
+    assert elimination_order(cycle_ring(n), "X").stages == ((("X",), "grevlex"), (("Y",), "grevlex"))
 
 
 def test_order_must_cover_ring():
@@ -126,7 +137,7 @@ MIXED = RingSpec((("A", ("a",)), ("B", ("b1", "b2")), ("C", ("c",)), ("D", ("d1"
 # general many-stage key, against the stage-by-stage reference key
 COMPILED_CASES = [
     (R5, PO5),
-    (S4, elimination_order(S4, ("S",))),
+    (S4, elimination_order(S4, "S")),
     (ART7_RING, canonical_order(ART7_RING)),
     (R4, OrderSpec(((("X", "Y"), "grevlex"),))),
     (R4, OrderSpec(((("X", "Y"), "lex"),))),

@@ -57,11 +57,12 @@ def test_duplicate_variables_rejected():
         RingSpec((("X", ("a",)), ("X", ("b",))))
 
 
-def test_restrict_reads_each_block_name_once():
-    ring = RingSpec((("X", ("x",)), ("S", ("s",))))
-    assert ring.restrict(["X", "X"]) == ring.restrict(["X"]) == RingSpec((("X", ("x",)),))
-    with pytest.raises(RingError, match=r"unknown blocks \['Q'\]"):
-        ring.restrict(["X", "Q", "Q"])
+def test_without_drops_one_block_and_names_an_unknown_one():
+    ring = RingSpec((("Y", ("y",)), ("X", ("x",)), ("S", ("s",))))
+    assert ring.without("X") == RingSpec((("Y", ("y",)), ("S", ("s",))))
+    assert ring.without("S").without("Y") == RingSpec((("X", ("x",)),))
+    with pytest.raises(RingError, match="no block 'Q'"):
+        ring.without("Q")
 
 
 def test_cancellation():
