@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb, gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, _reducer, ideal_equal, ideal_membership
+from .groebner import Budget, BudgetExceeded, Ideal, _packed_reducer, ideal_equal, ideal_membership
 from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import grevlex_order, product_order
@@ -205,29 +205,30 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
     ideal = artinian_reduction_ideal(n)
-    ring = ideal.ring
+    nvars = ideal.ring.nvars
     K = initial_ideal(ideal, budget=budget)
     pure_powers = {i for g in K.gens for i, e in enumerate(g) if e and sum(g) == e}
-    if len(pure_powers) < ring.nvars:
+    if len(pure_powers) < nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
 
     # one walk from 1 up: reduce x_i * b for each standard b as the list grows.
     # A normal form's monomials are standard, and every standard monomial but 1
     # is some x_i * b, so numbering them as they first appear lists each once;
     # modulo pure-difference binomials and monomials, each normal form is 0 or
-    # one monomial with coefficient 1
-    reduce = _reducer(ring, ideal, budget=budget)
-    standard = [(0,) * ring.nvars]
+    # one monomial with coefficient 1.  Monomials stay packed: x_i * b is a sum
+    engine, reduce = _packed_reducer(ideal.ring, ideal, budget=budget)
+    xs = list(engine.pack({tuple(int(j == i) for j in range(nvars)): 1 for i in range(nvars)}))
+    standard = list(engine.pack({(0,) * nvars: 1}))
     index = {standard[0]: 0}
     rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b
     for b in standard:
         row = {}
-        for i in range(ring.nvars):
-            for m, coeff in reduce({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1}).items():
+        for i, x in enumerate(xs):
+            for m, coeff in reduce({b + x: 1}).items():
                 if m not in index:
                     index[m] = len(standard)
                     standard.append(m)
-                row[index[m] * ring.nvars + i] = coeff
+                row[index[m] * nvars + i] = coeff
         rows.append(row)
     return len(standard) - sparse_rank(rows)
 

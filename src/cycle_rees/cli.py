@@ -152,7 +152,7 @@ def _cmd_hilbert(args) -> _Result:
     if not args.verify:
         return series.to_json(), f"{series}\n", EXIT_OK
     verified = verify_hilbert(args.n, Budget(seconds=_budget_secs(args)))
-    text = f"{series}\ninitial-ideal recomputation: {'match' if verified else 'MISMATCH'}\n"
+    text = f"{series}\nfamily certificate and series: {'match' if verified else 'MISMATCH'}\n"
     return {**series.to_json(), "verified": verified}, text, EXIT_OK if verified else EXIT_ASSERTION
 
 

@@ -240,10 +240,21 @@ def _reducer(
     order: OrderSpec | None = None,
     budget: Budget | None = None,
 ) -> Callable[[Mapping[Exponents, int | Fraction]], dict[Exponents, int | Fraction]]:
-    """The normal form against one basis, as a map from the term dict of a
-    polynomial of ring to that of its normal form.
+    """``_packed_reducer`` on the term dicts of polynomials of ring."""
+    engine, reduce = _packed_reducer(ring, basis, order, budget)
+    return lambda f: engine.unpack(reduce(engine.pack(f)))
 
-    Its calls share one engine, one record list and one first-divisor memo.
+
+def _packed_reducer(
+    ring: RingSpec,
+    basis: Sequence[Polynomial] | Ideal,
+    order: OrderSpec | None = None,
+    budget: Budget | None = None,
+) -> tuple[_Engine, Callable[[Terms], Terms]]:
+    """The engine of ring under order, and the normal form against one basis
+    as a map from packed terms (consumed) to packed terms.
+
+    Its calls share the engine, one record list and one first-divisor memo.
     An Ideal stands for its reduced basis under order and keeps the records
     for its next reducer; a sequence is packed afresh.  A value may be a
     Fraction after a division by a lead coefficient; ``cm_type_odd``'s leads
@@ -260,7 +271,7 @@ def _reducer(
     else:
         reducers, leads = engine.records(basis)
     memo: Memo = {}
-    return lambda f: engine.unpack(engine.reduce_full(engine.pack(f), reducers, leads, memo))
+    return engine, lambda work: engine.reduce_full(work, reducers, leads, memo)
 
 
 class _Pairs:

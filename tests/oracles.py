@@ -10,10 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from cycle_rees.groebner import normal_form
+from cycle_rees.groebner import _reducer, normal_form
+from cycle_rees.linalg import sparse_rank
 from cycle_rees.monomial_ideals import HilbertSeries, MonomialIdeal
 from cycle_rees.orders import KeyFunction, OrderSpec
-from cycle_rees.rees import PathIdealSpec, PolyMatrix
+from cycle_rees.rees import PathIdealSpec, PolyMatrix, artinian_reduction_ideal
 from cycle_rees.rings import Exponents, Polynomial, RingSpec, cycle_ring, mono_divides, mono_mul
 
 
@@ -367,3 +368,29 @@ def known_not_linear(n: int, t: int) -> bool:
         if half < l < n and (n - l) >= 1 and n % (n - l) >= 2:
             return True
     return False
+
+
+# -- the CM-type socle walk on exponent tuples --
+
+
+def socle_walk(n: int) -> tuple[int, int]:
+    """(socle dimension, number of standard monomials) of the Artinian
+    reduction for odd n, by the walk on exponent tuples: each x_i * b is
+    built by slicing and goes through the exponent-dict reducer, which packs
+    it and unpacks its normal form."""
+    ideal = artinian_reduction_ideal(n)
+    nvars = ideal.ring.nvars
+    reduce = _reducer(ideal.ring, ideal)
+    standard = [(0,) * nvars]
+    index = {standard[0]: 0}
+    rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b
+    for b in standard:
+        row = {}
+        for i in range(nvars):
+            for m, coeff in reduce({b[:i] + (b[i] + 1,) + b[i + 1 :]: 1}).items():
+                if m not in index:
+                    index[m] = len(standard)
+                    standard.append(m)
+                row[index[m] * nvars + i] = coeff
+        rows.append(row)
+    return len(standard) - sparse_rank(rows), len(standard)

@@ -152,7 +152,7 @@ def test_c6_hilbert_series():
 
 @criterion("C7 Cohen-Macaulay type two (odd) and Gorenstein witness (even)")
 def test_c7_cm_type_and_gorenstein():
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 11, 13):
         assert cm_type_odd(n) == 2, n
         assert not hilbert_closed_form_n_minus_2(n).is_palindromic(), n
     for n in (4, 6, 8, 10):
@@ -302,3 +302,10 @@ def test_c1_stretch_rows():
     for r in records:
         if r.klass == "neither":
             assert r.witness == NEITHER_WITNESSES[(r.n, r.t)], (r.n, r.t)
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch row; set CYCLE_REES_STRETCH=1")
+@criterion("C7-stretch Cohen-Macaulay type two at n = 15")
+def test_c7_stretch_cm_type():
+    assert cm_type_odd(15) == 2
+    assert not hilbert_closed_form_n_minus_2(15).is_palindromic()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import importlib
+import traceback
 from math import gcd
 
 import pytest
@@ -34,7 +35,17 @@ from cycle_rees.rees import (
 )
 from cycle_rees.rings import InvariantError, Polynomial, RingError, cycle_ring, parse_polynomial, y_ring
 
-from oracles import GLYPH, KNOWN_GRID, isolated, known_linear, known_not_linear, l_isolated, rees_image, window_covers
+from oracles import (
+    GLYPH,
+    KNOWN_GRID,
+    isolated,
+    known_linear,
+    known_not_linear,
+    l_isolated,
+    rees_image,
+    socle_walk,
+    window_covers,
+)
 
 
 def test_fiber_dimension_examples():
@@ -368,10 +379,31 @@ def test_cm_type_small_odd():
 
 def test_cm_type_work_is_pinned():
     # one normal form per shifted standard monomial; reusing the basis
-    # records across them must not change the reduction steps
-    budget = Budget()
-    assert cm_type_odd(9, budget) == 2
-    assert budget.steps == 2189
+    # records across them, or walking on packed monomials, must not change
+    # the reduction steps
+    for n, steps in ((7, 385), (9, 2189), (11, 12223), (13, 65965)):
+        budget = Budget()
+        assert cm_type_odd(n, budget) == 2, n
+        assert budget.steps == steps, n
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_cm_type_walk_matches_the_tuple_walk(monkeypatch, n):
+    # the packed walk hands sparse_rank one row per standard monomial
+    module = importlib.import_module("cycle_rees.classify")
+    rank, counted = module.sparse_rank, []
+    monkeypatch.setattr(module, "sparse_rank", lambda rows: counted.append(len(rows)) or rank(rows))
+    assert (cm_type_odd(n), *counted) == socle_walk(n)
+
+
+def test_cm_type_budget_runs_out_inside_the_walk():
+    basis_budget = Budget()
+    initial_ideal(artinian_reduction_ideal(9), budget=basis_budget)
+    assert basis_budget.steps == 71
+    with pytest.raises(BudgetExceeded) as raised:
+        cm_type_odd(9, Budget(max_steps=1000))
+    frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(raised.tb)]
+    assert "reduce_full" in frames and "buchberger" not in frames
 
 
 def test_batch_normal_forms_match_single_calls():

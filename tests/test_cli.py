@@ -176,7 +176,7 @@ GB_FAILURE_JSON = (
             "verify_hilbert",
             lambda n, budget: False,
             ["hilbert", "--n", "4", "--verify"],
-            "(1 + 3*z + z^2) / (1-z)^5\ninitial-ideal recomputation: MISMATCH\n",
+            "(1 + 3*z + z^2) / (1-z)^5\nfamily certificate and series: MISMATCH\n",
             '{"denom_power": 5, "numerator": [1, 3, 1], "verified": false}\n',
         ),
         (
@@ -200,7 +200,7 @@ def test_failed_hilbert_certificate_exits_1(monkeypatch):
     full = module.family_n_minus_2
     monkeypatch.setattr(module, "family_n_minus_2", lambda n: {k: p for k, p in full(n).items() if k != "f1"})
     assert module.verify_hilbert(6) is False
-    text = "(1 + 5*z + 9*z^2 + 5*z^3 + z^4) / (1-z)^7\ninitial-ideal recomputation: MISMATCH\n"
+    text = "(1 + 5*z + 9*z^2 + 5*z^3 + z^4) / (1-z)^7\nfamily certificate and series: MISMATCH\n"
     assert invoke("hilbert", "--n", "6", "--verify") == (1, text)
 
 
