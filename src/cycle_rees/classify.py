@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import comb, gcd
 
-from .groebner import Budget, BudgetExceeded, Ideal, _packed_reducer, ideal_equal, ideal_membership
+from .groebner import Budget, BudgetExceeded, Ideal, _Engine, _packed_reducer, ideal_equal, ideal_membership
 from .linalg import sparse_rank
 from .monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from .orders import grevlex_order, product_order
@@ -201,7 +201,13 @@ def verify_hilbert(n: int, budget: Budget | None = None) -> bool:
 
 
 def cm_type_odd(n: int, budget: Budget | None = None) -> int:
-    """Socle dimension of the Artinian reduction, i.e. the CM type, odd n."""
+    """Socle dimension of the Artinian reduction, i.e. the CM type, odd n.
+
+    The socle is the kernel of b -> (x_1 b, ..., x_{n-1} b) on the quotient,
+    read off the multiplication table of ``_multiplication_table``: one
+    sparse row per standard monomial b, with a 1 in column k * nvars + i
+    when the normal form of x_i b is the k-th standard monomial.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError("need odd n >= 3")
     ideal = artinian_reduction_ideal(n)
@@ -210,27 +216,70 @@ def cm_type_odd(n: int, budget: Budget | None = None) -> int:
     pure_powers = {i for g in K.gens for i, e in enumerate(g) if e and sum(g) == e}
     if len(pure_powers) < nvars:
         raise InvariantError("quotient is not Artinian; construction bug")
+    _, standard, table = _multiplication_table(ideal, budget)
+    rows = [{k * nvars + i: 1 for i, k in enumerate(row) if k is not None} for row in table]
+    return len(standard) - sparse_rank(rows)
 
-    # one walk from 1 up: reduce x_i * b for each standard b as the list grows.
-    # A normal form's monomials are standard, and every standard monomial but 1
-    # is some x_i * b, so numbering them as they first appear lists each once;
-    # modulo pure-difference binomials and monomials, each normal form is 0 or
-    # one monomial with coefficient 1.  Monomials stay packed: x_i * b is a sum
+
+def _multiplication_table(
+    ideal: Ideal, budget: Budget | None = None
+) -> tuple[_Engine, list[int], list[list[int | None]]]:
+    """The engine, the standard monomials (packed) and the multiplication
+    table of the Artinian reduction ``ideal``: ``table[k][i]`` is the index
+    of the normal form of x_i * b_k among the standard monomials, or None
+    when it is 0.
+
+    One walk from b_0 = 1 up fills the rows in order.  A normal form's
+    monomials are standard, and every standard monomial but 1 is some
+    x_j * b, so numbering them as they first appear lists each once.  Modulo
+    pure-difference binomials and monomials, each normal form should be 0
+    or one monomial with coefficient 1; anything else raises
+    InvariantError.  Monomials stay packed: x_i * b is a sum.
+
+    Most entries are lookups, by the multiplication-matrix identity of FGLM,
+    NF(x_j f) = NF(x_j NF(f)).  When b_k first appeared as NF(x_j b_p),
+    p < k, then NF(x_i b_k) = NF(x_j c) with c = NF(x_i b_p), which row p
+    holds: the entry is 0 when c is, and ``table[c][j]`` when c's row comes
+    before row k and so is complete.  Only row 0 and the entries whose c is
+    b_k or a later monomial are reduced.
+
+    Lookups tick no budget step, yet the budget still bounds the walk: each
+    reduction ticks at least once, and every row's monomial but 1 first
+    appeared in a reduction, so the lookups number at most
+    nvars * (reductions + 1).
+    """
     engine, reduce = _packed_reducer(ideal.ring, ideal, budget=budget)
+    nvars = ideal.ring.nvars
     xs = list(engine.pack({tuple(int(j == i) for j in range(nvars)): 1 for i in range(nvars)}))
     standard = list(engine.pack({(0,) * nvars: 1}))
     index = {standard[0]: 0}
-    rows = []  # row of b: column index[m] * nvars + i holds m's coefficient in the normal form of x_i b
-    for b in standard:
-        row = {}
+    origin = [(0, 0)]  # origin[k] = (p, j): b_k first appeared as NF(x_j b_p); unused for b_0
+    table: list[list[int | None]] = []
+    for k, b in enumerate(standard):
+        p, j = origin[k]
+        above = table[p] if k else [0] * nvars  # row 0 has no origin; c = 0 = k reduces each entry
+        row: list[int | None] = []
         for i, x in enumerate(xs):
-            for m, coeff in reduce({b + x: 1}).items():
+            c = above[i]
+            if c is None:
+                row.append(None)
+            elif c < k:
+                row.append(table[c][j])
+            else:
+                nf = reduce({b + x: 1})
+                if not nf:
+                    row.append(None)
+                    continue
+                (m, coeff), *rest = nf.items()
+                if rest or coeff != 1:
+                    raise InvariantError(f"normal form of a product is not 0 or a monomial: {engine.unpack(nf)}")
                 if m not in index:
                     index[m] = len(standard)
                     standard.append(m)
-                row[index[m] * nvars + i] = coeff
-        rows.append(row)
-    return len(standard) - sparse_rank(rows)
+                    origin.append((k, i))
+                row.append(index[m])
+        table.append(row)
+    return engine, standard, table
 
 
 def conjecture_fiber_iff_divides(records: list[ClassRecord]) -> list[tuple[int, int, bool]]:

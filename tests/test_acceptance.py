@@ -37,12 +37,14 @@ from cycle_rees.orders import OrderSpec, product_order
 from cycle_rees.rees import (
     PathIdealSpec,
     PolyMatrix,
+    certify_rees,
     family_half,
     family_n_minus_2,
     fiber_ideal_closed_form,
     jacobian_dual,
     pfaffian,
     pfaffian_fiber_sign,
+    sym_relations,
 )
 from cycle_rees.rings import Polynomial, RingSpec, cycle_ring, mono_mul
 
@@ -140,6 +142,25 @@ def test_c5_rees_structure():
             assert ideal_equal(J, LH), f"even n={n}, t={t}"
             if t == n - 2:
                 assert not ideal_equal(J, L), f"even n={n} should not be of linear type"
+    # the statement itself, certified without computing J
+    for n in range(3, 21):
+        check_c5_certificate(n)
+
+
+def check_c5_certificate(n: int) -> None:
+    """certify_rees on C5's statement: J = L at odd n, t = n-2; J = L + (H_c)
+    at even n, t in {n-2, n/2}, with H_c the closed-form fiber binomials."""
+    for t in (n - 2,) if n % 2 else sorted({n - 2, n // 2}):
+        spec = PathIdealSpec(n, t)
+        L = sym_relations(spec)
+        if n % 2:
+            assert certify_rees(spec, L) is None, f"odd n={n}"
+            continue
+        H = fiber_ideal_closed_form(spec)
+        LH = Ideal(L.ring, [*L.generators, *(p.to_ring(L.ring) for p in H.generators)])
+        assert certify_rees(spec, LH) is None, f"even n={n}, t={t}"
+        if t == n - 2:
+            assert certify_rees(spec, L) is not None, f"even n={n} should not be of linear type"
 
 
 @criterion("C6 Hilbert series closed form, 3 <= n <= 10")
@@ -152,7 +173,7 @@ def test_c6_hilbert_series():
 
 @criterion("C7 Cohen-Macaulay type two (odd) and Gorenstein witness (even)")
 def test_c7_cm_type_and_gorenstein():
-    for n in (3, 5, 7, 9, 11, 13):
+    for n in range(3, 16, 2):
         assert cm_type_odd(n) == 2, n
         assert not hilbert_closed_form_n_minus_2(n).is_palindromic(), n
     for n in (4, 6, 8, 10):
@@ -305,7 +326,14 @@ def test_c1_stretch_rows():
 
 
 @pytest.mark.skipif(not STRETCH, reason="stretch row; set CYCLE_REES_STRETCH=1")
-@criterion("C7-stretch Cohen-Macaulay type two at n = 15")
+@criterion("C7-stretch Cohen-Macaulay type two at n = 17")
 def test_c7_stretch_cm_type():
-    assert cm_type_odd(15) == 2
-    assert not hilbert_closed_form_n_minus_2(15).is_palindromic()
+    assert cm_type_odd(17) == 2
+    assert not hilbert_closed_form_n_minus_2(17).is_palindromic()
+
+
+@pytest.mark.skipif(not STRETCH, reason="stretch rows; set CYCLE_REES_STRETCH=1")
+@criterion("C5-stretch Rees ideal certified as L (odd) / L + HT (even), 21 <= n <= 24")
+def test_c5_stretch_certified():
+    for n in range(21, 25):
+        check_c5_certificate(n)

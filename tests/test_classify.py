@@ -11,6 +11,7 @@ import pytest
 
 from cycle_rees.classify import (
     ClassRecord,
+    _multiplication_table,
     circulant_rank,
     classification_table,
     classify,
@@ -21,7 +22,7 @@ from cycle_rees.classify import (
     render_table,
     verify_hilbert,
 )
-from cycle_rees.groebner import Budget, BudgetExceeded, _reducer, buchberger, gb_certificate, normal_form
+from cycle_rees.groebner import Budget, BudgetExceeded, Ideal, _reducer, buchberger, gb_certificate, normal_form
 from cycle_rees.monomial_ideals import HilbertSeries, hilbert_numerator, initial_ideal
 from cycle_rees.orders import OrderSpec, canonical_order, elimination_order, product_order
 from cycle_rees.rees import (
@@ -33,7 +34,7 @@ from cycle_rees.rees import (
     rees_ideal,
     sym_relations,
 )
-from cycle_rees.rings import InvariantError, Polynomial, RingError, cycle_ring, parse_polynomial, y_ring
+from cycle_rees.rings import InvariantError, Polynomial, RingError, RingSpec, cycle_ring, parse_polynomial, y_ring
 
 from oracles import (
     GLYPH,
@@ -378,16 +379,37 @@ def test_cm_type_small_odd():
 
 
 def test_cm_type_work_is_pinned():
-    # one normal form per shifted standard monomial; reusing the basis
-    # records across them, or walking on packed monomials, must not change
-    # the reduction steps
-    for n, steps in ((7, 385), (9, 2189), (11, 12223), (13, 65965)):
+    # the basis plus one normal form per multiplication-table entry that no
+    # earlier row settles; the lookups tick no step
+    for n, steps in ((7, 151), (9, 539), (11, 2027), (13, 7882)):
         budget = Budget()
         assert cm_type_odd(n, budget) == 2, n
         assert budget.steps == steps, n
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_multiplication_table_matches_direct_normal_forms(n):
+    ideal = artinian_reduction_ideal(n)
+    ring = ideal.ring
+    engine, standard, table = _multiplication_table(ideal)
+    monomials = list(engine.unpack(dict.fromkeys(standard, 1)))
+    assert len(monomials) == len(table) == len(standard)
+    for b, row in zip(monomials, table):
+        for i, k in enumerate(row):
+            product = Polynomial(ring, {b[:i] + (b[i] + 1,) + b[i + 1 :]: 1})
+            assert normal_form(product, ideal).terms == ({} if k is None else {monomials[k]: 1}), (b, i)
+
+
+def test_multiplication_table_rejects_a_normal_form_that_is_not_a_monomial():
+    # x1 * x1 reduces to -x2^2 against the first ideal and to x1*x2 + x2^2
+    # against the second: a coefficient other than 1, and two terms
+    ring = RingSpec((("X", ("x1", "x2")),))
+    for gen in ("x1^2 + x2^2", "x1^2 - x1*x2 - x2^2"):
+        with pytest.raises(InvariantError):
+            _multiplication_table(Ideal(ring, [parse_polynomial(ring, gen)]))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_cm_type_walk_matches_the_tuple_walk(monkeypatch, n):
     # the packed walk hands sparse_rank one row per standard monomial
     module = importlib.import_module("cycle_rees.classify")
@@ -401,7 +423,7 @@ def test_cm_type_budget_runs_out_inside_the_walk():
     initial_ideal(artinian_reduction_ideal(9), budget=basis_budget)
     assert basis_budget.steps == 71
     with pytest.raises(BudgetExceeded) as raised:
-        cm_type_odd(9, Budget(max_steps=1000))
+        cm_type_odd(9, Budget(max_steps=300))
     frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(raised.tb)]
     assert "reduce_full" in frames and "buchberger" not in frames
 
